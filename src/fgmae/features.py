@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import ndimage
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +137,17 @@ def _check_image(image):
 
 
 def _conv_fixed_order(x, kernel):
-    """2-D correlation with replicate borders, accumulating kernel taps in
-    row-major order (bitwise-matched by the scalar-loop test oracles)."""
+    """2-D correlation over the last two axes, for any leading axes, with
+    replicate borders, accumulating kernel taps in row-major order
+    (bitwise-matched by the scalar-loop test oracles)."""
     kh, kw = kernel.shape
-    xp = np.pad(x, ((kh // 2, kh // 2), (kw // 2, kw // 2)), mode="edge")
+    pad = [(0, 0)] * (x.ndim - 2) + [(kh // 2, kh // 2), (kw // 2, kw // 2)]
+    xp = np.pad(x, pad, mode="edge")
     out = np.zeros_like(x)
-    h, w = x.shape
+    h, w = x.shape[-2:]
     for i in range(kh):
         for j in range(kw):
-            out = out + kernel[i, j] * xp[i:i + h, j:j + w]
+            out += kernel[i, j] * xp[..., i:i + h, j:j + w]
     return out
 
 
@@ -206,27 +209,23 @@ def compute_hog(image, p=HogParams()):
     if h % p.cell_size or w % p.cell_size:
         raise ValueError(f"image size {h}x{w} not divisible by cell size {p.cell_size}")
     ch, cw = h // p.cell_size, w // p.cell_size
-    out = np.zeros((b, c, ch, cw, p.n_bins))
-    bin_width = 180.0 / p.n_bins
-    for bi in range(b):
-        for ci in range(c):
-            gx, gy = _grad_xy(image[bi, ci])
-            mag = np.sqrt(gx * gx + gy * gy)
-            ang = np.degrees(np.arctan2(gy, gx)) % 180.0
-            pos = ang / bin_width
-            lo = np.floor(pos).astype(np.int64) % p.n_bins
-            hi = (lo + 1) % p.n_bins
-            frac = pos - np.floor(pos)
-            hist = np.zeros((ch, cw, p.n_bins))
-            cell_r = np.arange(h) // p.cell_size
-            cell_c = np.arange(w) // p.cell_size
-            rr = np.repeat(cell_r, w)
-            cc = np.tile(cell_c, h)
-            np.add.at(hist, (rr, cc, lo.ravel()), (mag * (1.0 - frac)).ravel())
-            np.add.at(hist, (rr, cc, hi.ravel()), (mag * frac).ravel())
-            norm = np.sqrt((hist * hist).sum(axis=-1, keepdims=True))
-            out[bi, ci] = hist / (norm + p.eps)
-    return out
+    gx, gy = _grad_xy(image)
+    mag = np.sqrt(gx * gx + gy * gy)
+    ang = np.degrees(np.arctan2(gy, gx)) % 180.0
+    pos = ang / (180.0 / p.n_bins)
+    lo = np.floor(pos).astype(np.int64) % p.n_bins
+    hi = (lo + 1) % p.n_bins
+    frac = pos - np.floor(pos)
+    # flat bin of (image, cell row, cell col); all low votes go before all
+    # high votes, so each bin sums in the same order as two np.add.at calls
+    cell = (np.arange(h)[:, None] // p.cell_size) * cw + np.arange(w) // p.cell_size
+    base = (np.arange(b * c).reshape(b, c, 1, 1) * (ch * cw) + cell) * p.n_bins
+    hist = np.bincount(np.concatenate([(base + lo).ravel(), (base + hi).ravel()]),
+                       np.concatenate([(mag * (1.0 - frac)).ravel(), (mag * frac).ravel()]),
+                       minlength=b * c * ch * cw * p.n_bins)
+    hist = hist.reshape(b, c, ch, cw, p.n_bins)
+    norm = np.sqrt((hist * hist).sum(axis=-1, keepdims=True))
+    return hist / (norm + p.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -252,59 +251,44 @@ _NMS_NEIGHBORS = {
 }
 
 
+# hysteresis connectivity over a (B*C, H, W) stack: 8-neighbours within an
+# image, never across images
+_HYSTERESIS_STRUCTURE = np.zeros((3, 3, 3), dtype=bool)
+_HYSTERESIS_STRUCTURE[1] = True
+
+
 def compute_canny(image, p=CannyParams()):
     """Binary edge maps: Gaussian blur, Sobel gradients, 4-direction
-    non-maximum suppression, double threshold (fractions of the max
-    magnitude) and 8-connected hysteresis. One edge map per channel."""
+    non-maximum suppression, double threshold (fractions of each image's
+    own max magnitude) and hysteresis, which keeps each image's 8-connected
+    components of weak-or-strong pixels that hold a strong pixel. One edge
+    map per channel; a blank image has no edges."""
     image = _check_image(image).astype(np.float64)
     b, c, h, w = image.shape
     if h < p.kernel_size or w < p.kernel_size:
         raise ValueError("image smaller than the Gaussian kernel")
-    out = np.zeros((b, c, h, w))
-    kernel = gaussian_kernel(p.gaussian_sigma, p.kernel_size)
-    for bi in range(b):
-        for ci in range(c):
-            out[bi, ci] = _canny_single(image[bi, ci], kernel, p)
-    return out
-
-
-def _canny_single(x, kernel, p):
-    blurred = _conv_fixed_order(x, kernel)
+    x = image.reshape(b * c, h, w)
+    blurred = _conv_fixed_order(x, gaussian_kernel(p.gaussian_sigma, p.kernel_size))
     gx = _conv_fixed_order(blurred, SOBEL_X)
     gy = _conv_fixed_order(blurred, SOBEL_Y)
     mag = np.sqrt(gx * gx + gy * gy)
     ang = np.degrees(np.arctan2(gy, gx)) % 180.0
     sector = (np.floor((ang + 22.5) / 45.0).astype(np.int64)) % 4
 
-    h, w = x.shape
     suppressed = np.zeros_like(mag)
-    padded = np.pad(mag, 1, mode="constant")
+    padded = np.pad(mag, ((0, 0), (1, 1), (1, 1)), mode="constant")
     for s, ((r1, c1), (r2, c2)) in _NMS_NEIGHBORS.items():
-        n1 = padded[1 + r1:1 + r1 + h, 1 + c1:1 + c1 + w]
-        n2 = padded[1 + r2:1 + r2 + h, 1 + c2:1 + c2 + w]
+        n1 = padded[:, 1 + r1:1 + r1 + h, 1 + c1:1 + c1 + w]
+        n2 = padded[:, 1 + r2:1 + r2 + h, 1 + c2:1 + c2 + w]
         keep = (sector == s) & (mag >= n1) & (mag >= n2)
         suppressed[keep] = mag[keep]
 
-    mmax = mag.max()
-    if mmax == 0.0:
-        return np.zeros_like(mag)
-    high_t = p.high * mmax
-    low_t = p.low * mmax
-    strong = suppressed >= high_t
-    weak = (suppressed >= low_t) & ~strong
-
-    # grow strong edges into connected weak pixels (8-neighborhood)
-    edges = strong.copy()
-    frontier = list(zip(*np.nonzero(strong)))
-    while frontier:
-        r, c = frontier.pop()
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < h and 0 <= cc < w and weak[rr, cc] and not edges[rr, cc]:
-                    edges[rr, cc] = True
-                    frontier.append((rr, cc))
-    return edges.astype(np.float64)
+    mmax = mag.max(axis=(1, 2), keepdims=True)
+    strong = (suppressed >= p.high * mmax) & (mmax > 0.0)
+    labels, n = ndimage.label(suppressed >= p.low * mmax, structure=_HYSTERESIS_STRUCTURE)
+    has_strong = np.zeros(n + 1, dtype=bool)
+    has_strong[labels[strong]] = True
+    return has_strong[labels].astype(np.float64).reshape(b, c, h, w)
 
 
 # ---------------------------------------------------------------------------

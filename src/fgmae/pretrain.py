@@ -310,8 +310,12 @@ def load_checkpoint(path, cfg=None):
     opt = O.OptimState(lr=oi["lr"], beta1=oi["beta1"], beta2=oi["beta2"],
                        eps=oi["eps"], weight_decay=oi["weight_decay"], t=oi["t"])
     for name in oi["has_moments"]:
-        opt.m[name] = D.read_tensor(os.path.join(path, f"m__{name}.fgmr"))
-        opt.v[name] = D.read_tensor(os.path.join(path, f"v__{name}.fgmr"))
+        for kind, store in (("m", opt.m), ("v", opt.v)):
+            try:
+                store[name] = D.read_tensor(os.path.join(path, f"{kind}__{name}.fgmr"))
+            except FileNotFoundError:
+                raise CheckpointError(f"missing {kind} moment file for parameter "
+                                      f"{name!r}") from None
     loss_log = [(int(s), float(lr), float(lo)) for s, lr, lo in index["loss_log"]]
     return model, opt, int(index["step"]), loss_log, index["config"], index
 

@@ -3,7 +3,9 @@
 Everything is backed by numpy arrays. A forward pass builds a graph of
 Tensor nodes; ``backward()`` walks it once in reverse topological order and
 accumulates gradients additively across fan-out. Single-threaded numpy ops
-keep results bitwise deterministic.
+keep results bitwise deterministic. A backward closure captures its inputs
+and plain arrays, never its own output node, so no reference cycle forms
+and a tape is freed by reference counting as soon as it is dropped.
 """
 
 from __future__ import annotations
@@ -214,9 +216,9 @@ def div(a, b):
     a, b = _wrap(a), _wrap(b)
     out = _node(a.data / b.data, (a, b))
     if out.requires_grad:
-        def _bw(g, a=a, b=b, out=out):
+        def _bw(g, a=a, b=b, y=out.data):
             _accum(a, _unbroadcast(g / b.data, a.shape))
-            _accum(b, _unbroadcast(-g * out.data / b.data, b.shape))
+            _accum(b, _unbroadcast(-g * y / b.data, b.shape))
         out._backward = _bw
     return out
 
@@ -235,8 +237,8 @@ def exp(a):
     a = _wrap(a)
     out = _node(np.exp(a.data), (a,))
     if out.requires_grad:
-        def _bw(g, a=a, out=out):
-            _accum(a, g * out.data)
+        def _bw(g, a=a, y=out.data):
+            _accum(a, g * y)
         out._backward = _bw
     return out
 
@@ -412,8 +414,8 @@ def sigmoid(x):
     x = _wrap(x)
     out = _node(1.0 / (1.0 + np.exp(-x.data)), (x,))
     if out.requires_grad:
-        def _bw(g, x=x, out=out):
-            _accum(x, g * out.data * (1.0 - out.data))
+        def _bw(g, x=x, y=out.data):
+            _accum(x, g * y * (1.0 - y))
         out._backward = _bw
     return out
 

@@ -15,6 +15,16 @@ def _img(seed, c, h, w):
     return np.random.default_rng(seed).random((1, c, h, w))
 
 
+def _batched_stack():
+    """(B=3, C=2) stack with one blank channel and one scaled by 1e-2: a
+    batch-wide threshold, or edges joined across images, breaks the
+    per-image oracles."""
+    img = np.random.default_rng(70).random((3, 2, 32, 32))
+    img[1, 0] = 0.0
+    img[2, 1] *= 1e-2
+    return img
+
+
 class TestNdi:
     def test_ndvi_hand_value(self):
         img = np.zeros((1, 13, 2, 2))
@@ -58,11 +68,11 @@ class TestHog:
         np.testing.assert_allclose(ours[0, 0], ref, atol=1e-10)
 
     def test_matches_oracle_multichannel(self):
-        img = _img(11, 3, 24, 24)
-        ours = F.compute_hog(img, HogParams(cell_size=8))
-        for c in range(3):
-            ref = hog_reference(img[0, c], cell_size=8)
-            np.testing.assert_allclose(ours[0, c], ref, atol=1e-10)
+        for img in (_img(11, 3, 24, 24), _batched_stack()):
+            ours = F.compute_hog(img, HogParams(cell_size=8))
+            for b, c in np.ndindex(img.shape[:2]):
+                ref = hog_reference(img[b, c], cell_size=8)
+                np.testing.assert_allclose(ours[b, c], ref, atol=1e-10)
 
     def test_cell_norm_at_most_unit(self):
         out = F.compute_hog(_img(12, 2, 32, 32), HogParams(cell_size=4))
@@ -87,11 +97,10 @@ class TestHog:
 
 class TestCanny:
     def test_matches_oracle_exactly(self):
-        for seed in range(5):
-            img = _img(20 + seed, 1, 32, 32)
+        for img in [_img(20 + seed, 1, 32, 32) for seed in range(5)] + [_batched_stack()]:
             ours = F.compute_canny(img)
-            ref = canny_reference(img[0, 0])
-            assert (ours[0, 0] == ref).all()
+            for b, c in np.ndindex(img.shape[:2]):
+                assert (ours[b, c] == canny_reference(img[b, c])).all()
 
     def test_binary_output(self):
         out = F.compute_canny(_img(30, 2, 64, 64))

@@ -1,11 +1,14 @@
 """Pretraining loop: determinism, checkpoint transparency, loss logging and
 failure modes."""
 
+import gc
+import json
 import os
 
 import numpy as np
 import pytest
 
+from fgmae import cli
 from fgmae import data as D
 from fgmae import features as F
 from fgmae import model as M
@@ -137,11 +140,39 @@ class TestCheckpoint:
         with pytest.warns(UserWarning):
             P.load_checkpoint(path, cfg=_cfg(seed=99))
 
+    def test_missing_moment_file_is_checkpoint_error(self, tmp_path):
+        manifest = _dataset(tmp_path)
+        P.pretrain_run(_cfg(), manifest, str(tmp_path / "run"))
+        ckpt = tmp_path / "run" / "checkpoint"
+        victim = next(f for f in sorted(os.listdir(ckpt)) if f.startswith("v__"))
+        os.remove(ckpt / victim)
+        with pytest.raises(P.CheckpointError) as exc:
+            P.load_checkpoint(str(ckpt))
+        assert victim[len("v__"):-len(".fgmr")] in str(exc.value)
+
     def test_load_model_helper(self, tmp_path):
         manifest = _dataset(tmp_path)
         trainer = P.pretrain_run(_cfg(), manifest, str(tmp_path / "run"))
         model = P.load_model(str(tmp_path / "run" / "checkpoint"))
         assert params_digest(model.params) == params_digest(trainer.model.params)
+
+
+class TestMemory:
+    def test_train_step_leaves_no_cyclic_garbage(self, tmp_path):
+        # the step's tape must go by reference counting when the step ends
+        demo = os.path.join(os.path.dirname(__file__), "..", "demos",
+                            "pretrain_config.json")
+        with open(demo) as f:
+            cfg = cli._from_dict(P.PretrainConfig, json.load(f))
+        manifest = _dataset(tmp_path, n_locations=8)
+        trainer = P.Trainer(cfg, D.read_manifest(manifest), os.path.dirname(manifest))
+        gc.collect()
+        gc.disable()
+        try:
+            trainer.train_step()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestLossLog:

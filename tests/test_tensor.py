@@ -1,6 +1,8 @@
 """Autodiff engine: per-op gradient checks against central finite differences,
 broadcasting reductions, and optimizer / schedule arithmetic."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,20 @@ class TestBackward:
             y = y + 1.0
         y.backward()
         np.testing.assert_allclose(x.grad, [1.0])
+
+    def test_tape_freed_by_reference_counting(self):
+        # a backward closure that captured its own output node would make a
+        # cycle, leaving the whole tape to the cyclic garbage collector
+        gc.collect()
+        gc.disable()
+        try:
+            x = _rand((4, 5), 7)
+            y = T.sigmoid(T.exp(x) / (x + 2.0))
+            T.tsum(y).backward()
+            del x, y
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestUtilities:
