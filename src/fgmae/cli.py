@@ -30,6 +30,9 @@ EXIT_IO = 3
 EXIT_GEOMETRY = 4
 EXIT_DIVERGED = 5
 
+# a finite loss with non-finite gradients raises FloatingPointError in optim
+_DIVERGED = (P.TrainingDiverged, FloatingPointError)
+
 
 class CliError(Exception):
     def __init__(self, kind, message, code):
@@ -171,7 +174,7 @@ def cmd_pretrain(args):
     print(f"config_digest={cfg.digest()}")
     try:
         trainer = P.pretrain_run(cfg, manifest, args.out)
-    except P.TrainingDiverged as exc:
+    except _DIVERGED as exc:
         _fail("loss", str(exc), EXIT_DIVERGED)
     except OSError as exc:
         _fail("io", str(exc), EXIT_IO)
@@ -205,18 +208,22 @@ def _report_out(report, out):
                 f.write(f"{k},{v!r}\n")
 
 
-def cmd_probe(args):
+def _train_and_report(train, args):
     model, entries, data_dir, pcfg = _probe_setup(args)
-    report = E.linear_probe_train(model, entries, data_dir, pcfg)
+    try:
+        report = train(model, entries, data_dir, pcfg)
+    except _DIVERGED as exc:
+        _fail("loss", str(exc), EXIT_DIVERGED)
     _report_out(report, args.out)
     return 0
+
+
+def cmd_probe(args):
+    return _train_and_report(E.linear_probe_train, args)
 
 
 def cmd_finetune(args):
-    model, entries, data_dir, pcfg = _probe_setup(args)
-    report = E.fine_tune(model, entries, data_dir, pcfg)
-    _report_out(report, args.out)
-    return 0
+    return _train_and_report(E.fine_tune, args)
 
 
 def cmd_ablate(args):
@@ -241,7 +248,7 @@ def cmd_ablate(args):
         rows = E.feature_ablation_study(base_cfg, specs, seeds, args.manifest,
                                         args.out, probe_cfg,
                                         include_random_init=include_random)
-    except P.TrainingDiverged as exc:
+    except _DIVERGED as exc:
         _fail("loss", str(exc), EXIT_DIVERGED)
     except OSError as exc:
         _fail("io", str(exc), EXIT_IO)
@@ -288,8 +295,8 @@ def cmd_render(args):
             _fail("config", f"--checkpoint required for mode {args.mode}",
                   EXIT_CONFIG)
         try:
-            model = P.load_model(args.checkpoint)
-        except (OSError, P.CheckpointError) as exc:
+            model, _, _, _, run_cfg, _ = P.load_checkpoint(args.checkpoint)
+        except (OSError, P.CheckpointError, D.ContainerError) as exc:
             _fail("io", str(exc), EXIT_IO)
         cfg = model.config
         if image.shape[-1] != cfg.image_size:
@@ -309,9 +316,9 @@ def cmd_render(args):
                                            cfg.patch_size)[0]
         else:
             hog_pred = pred[0] if isinstance(pred, tuple) else pred
-            spec = F.FeatureSpec(variant="hog")
-            cells = cfg.patch_size // spec.hog.cell_size
-            nb = spec.hog.n_bins
+            hog = F.HogParams(**run_cfg["feature"]["hog"])
+            cells = cfg.patch_size // hog.cell_size
+            nb = hog.n_bins
             c = hog_pred.shape[-1] // (cells * cells * nb)
             grid = cfg.grid
             arr = hog_pred.data.reshape(image.shape[0], grid, grid, c,

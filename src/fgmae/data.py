@@ -10,6 +10,7 @@ and an explicit random generator.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -33,7 +34,7 @@ class ContainerError(Exception):
 def write_tensor(path, array):
     """Serialize an ndarray: magic, version u32, dtype u8, rank u8,
     dims u64[rank], then the little-endian row-major payload."""
-    array = np.ascontiguousarray(array)
+    array = np.asarray(array)
     if array.dtype not in _DTYPE_CODES:
         array = array.astype(np.float64 if array.dtype == np.float64 else np.float32)
     code = _DTYPE_CODES[array.dtype]
@@ -48,24 +49,45 @@ def write_tensor(path, array):
 
 
 def read_tensor(path):
+    """Read an FGMR file back as a writable native-endian ndarray.
+
+    Raises ContainerError on a bad magic, an unsupported version, an unknown
+    dtype code, a header cut short, dims numpy cannot hold, and a payload
+    shorter or longer than the dims say. The payload size (exact, in Python
+    integers) is checked against the bytes left in the file before anything
+    is allocated; the payload is then read once into its final buffer.
+    """
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != FGMR_MAGIC:
-            raise ContainerError(f"bad magic {magic!r} in {path}")
-        (version,) = struct.unpack("<I", f.read(4))
+        head = f.read(10)
+        if head[:4] != FGMR_MAGIC:
+            raise ContainerError(f"bad magic {head[:4]!r} in {path}")
+        if len(head) < 10:
+            raise ContainerError(f"header cut short in {path}")
+        version, code, rank = struct.unpack("<IBB", head[4:])
         if version != FGMR_VERSION:
             raise ContainerError(f"unsupported container version {version}")
-        code, rank = struct.unpack("<BB", f.read(2))
         if code not in _CODE_DTYPES:
             raise ContainerError(f"unknown dtype code {code}")
-        dims = struct.unpack(f"<{rank}Q", f.read(8 * rank))
+        raw_dims = f.read(8 * rank)
+        if len(raw_dims) != 8 * rank:
+            raise ContainerError(f"header cut short in {path}")
+        dims = struct.unpack(f"<{rank}Q", raw_dims)
         dtype = _CODE_DTYPES[code]
-        payload = f.read()
-    expected = int(np.prod(dims)) * dtype.itemsize if rank else dtype.itemsize
-    if len(payload) != expected:
-        raise ContainerError(f"truncated payload in {path}: "
-                             f"{len(payload)} bytes, expected {expected}")
-    return np.frombuffer(payload, dtype=dtype.newbyteorder("<")).astype(dtype).reshape(dims)
+        expected = math.prod(dims) * dtype.itemsize
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if left != expected:
+            raise ContainerError(f"{'truncated' if left < expected else 'trailing'} "
+                                 f"payload in {path}: {left} bytes, expected {expected}")
+        payload = bytearray(expected)
+        if f.readinto(payload) != expected:
+            raise ContainerError(f"truncated payload in {path}")
+    array = np.frombuffer(payload, dtype=dtype.newbyteorder("<"))
+    if not array.dtype.isnative:  # big-endian host
+        array = array.byteswap(inplace=True).view(dtype)
+    try:
+        return array.reshape(dims)
+    except ValueError as exc:
+        raise ContainerError(f"dims {dims} in {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

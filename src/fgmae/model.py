@@ -138,12 +138,16 @@ def _sincos_1d(width, pos):
 
 
 def trunc_normal(generator, shape, std=0.02):
-    """Normal(0, std) resampled until all draws fall inside ±2 std."""
+    """Normal(0, std) with every draw outside ±2 std drawn again until none is.
+
+    Each round's redraws fill the still-rejected entries in row-major order.
+    """
     out = generator.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2.0 * std
-    while bad.any():
-        out[bad] = generator.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * std
+    flat = out.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > 2.0 * std)
+    while bad.size:
+        flat[bad] = generator.normal(0.0, std, size=bad.size)
+        bad = bad[np.abs(flat[bad]) > 2.0 * std]
     return out
 
 

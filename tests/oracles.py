@@ -185,3 +185,16 @@ def miou_reference(pred, label, n_classes, ignore_index=None):
     aa = sum(recalls) / len(recalls) if recalls else 0.0
     miou = sum(ious) / len(ious) if ious else 0.0
     return oa, aa, miou
+
+
+# ---------------------------------------------------------------------------
+# truncated-normal init oracle: every rejection round re-tests the whole array
+
+
+def trunc_normal_reference(generator, shape, std=0.02):
+    out = generator.normal(0.0, std, size=shape)
+    bad = np.abs(out) > 2.0 * std
+    while bad.any():
+        out[bad] = generator.normal(0.0, std, size=int(bad.sum()))
+        bad = np.abs(out) > 2.0 * std
+    return out

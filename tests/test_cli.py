@@ -8,6 +8,9 @@ import pytest
 
 from fgmae import cli
 from fgmae import data as D
+from fgmae import optim as O
+
+DEMOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "demos")
 
 
 def run_cli(argv, capsys):
@@ -39,6 +42,25 @@ def _pretrain_config(tmp_path, manifest, **overrides):
     with open(path, "w") as f:
         json.dump(cfg, f)
     return path
+
+
+@pytest.fixture(scope="module")
+def demo_checkpoint(tmp_path_factory, sar_dataset):
+    """The demo pretrain config (HOG cell size 4) cut to one epoch."""
+    raw = json.load(open(os.path.join(DEMOS, "pretrain_config.json")))
+    raw.update(epochs=1, warmup_epochs=0,
+               manifest=os.path.join(sar_dataset, "manifest.csv"))
+    tmp = tmp_path_factory.mktemp("demo")
+    cfg = str(tmp / "pretrain.json")
+    json.dump(raw, open(cfg, "w"))
+    out = str(tmp / "run")
+    code = cli.main(["pretrain", "--config", cfg, "--out", out])
+    assert code == 0
+    return os.path.join(out, "checkpoint")
+
+
+def _raise_non_finite(*args, **kwargs):
+    raise FloatingPointError("non-finite gradient for parameter 'w'")
 
 
 class TestSynth:
@@ -242,6 +264,18 @@ class TestRenderCommand:
         run_cli(["render", "--mode", "sar", "--in", src, "--out", d2], capsys)
         assert open(d1, "rb").read() == open(d2, "rb").read()
 
+    def test_hog_uses_checkpoint_cell_size(self, tmp_path, capsys, sar_dataset,
+                                           demo_checkpoint):
+        # cell 4 on 8-px patches: an 8x8 grid of cells, 16 px per glyph
+        scene = D.read_manifest(os.path.join(sar_dataset, "manifest.csv"))[0]
+        dst = str(tmp_path / "hog.ppm")
+        code, _, _ = run_cli(["render", "--mode", "hog",
+                              "--in", os.path.join(sar_dataset, scene.path),
+                              "--out", dst, "--checkpoint", demo_checkpoint],
+                             capsys)
+        assert code == 0
+        assert open(dst, "rb").read().startswith(b"P5\n128 128\n255\n")
+
     def test_ndi_requires_checkpoint(self, tmp_path, capsys):
         src = str(tmp_path / "s.fgmr")
         D.write_tensor(src, np.zeros((13, 32, 32), dtype=np.float32))
@@ -278,3 +312,42 @@ class TestAblateCommand:
                                 "--manifest", manifest,
                                 "--out", str(tmp_path / "o")], capsys)
         assert code == cli.EXIT_CONFIG
+
+
+class TestNonFiniteGradients:
+    """A finite loss with non-finite gradients exits 5 with one error line."""
+
+    @pytest.fixture(autouse=True)
+    def _bad_optimizer(self, monkeypatch):
+        monkeypatch.setattr(O, "adamw_step", _raise_non_finite)
+        monkeypatch.setattr(O, "sgd_step", _raise_non_finite)
+
+    def _assert_diverged(self, argv, capsys):
+        code, _, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_DIVERGED
+        assert err.startswith("error[loss]") and len(err.splitlines()) == 1
+
+    def test_pretrain(self, tmp_path, capsys, sar_dataset):
+        cfg = _pretrain_config(tmp_path, os.path.join(sar_dataset, "manifest.csv"))
+        self._assert_diverged(["pretrain", "--config", cfg,
+                               "--out", str(tmp_path / "run")], capsys)
+
+    @pytest.mark.parametrize("command", ["probe", "finetune"])
+    def test_probe_and_finetune(self, tmp_path, capsys, sar_dataset,
+                                demo_checkpoint, command):
+        probe_cfg = str(tmp_path / "probe.json")
+        json.dump({"task": "singlelabel", "epochs": 1, "batch_size": 4,
+                   "lr": 0.05}, open(probe_cfg, "w"))
+        self._assert_diverged([command, "--config", probe_cfg,
+                               "--checkpoint", demo_checkpoint, "--manifest",
+                               os.path.join(sar_dataset, "manifest.csv")],
+                              capsys)
+
+    def test_ablate(self, tmp_path, capsys, sar_dataset):
+        manifest = os.path.join(sar_dataset, "manifest.csv")
+        raw = json.load(open(_pretrain_config(tmp_path, manifest)))
+        raw.update(specs=["hog", "raw"], seeds=[0])
+        cfg = str(tmp_path / "ablate.json")
+        json.dump(raw, open(cfg, "w"))
+        self._assert_diverged(["ablate", "--config", cfg, "--manifest", manifest,
+                               "--out", str(tmp_path / "ablation")], capsys)

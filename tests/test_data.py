@@ -1,10 +1,15 @@
 """On-disk formats, synthetic scene generation, speckle statistics and
 augmentations."""
 
+import math
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fgmae import data as D
 from fgmae.rng import Rng
@@ -53,6 +58,81 @@ class TestContainer:
         p = str(tmp_path / "x.fgmr")
         D.write_tensor(p, np.zeros(3, dtype=np.float32))
         assert not os.path.exists(p + ".tmp")
+
+
+_FUZZ = settings(max_examples=60, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+_ARRAYS = hnp.arrays(dtype=st.sampled_from([np.float32, np.float64]),
+                     shape=hnp.array_shapes(min_dims=0, max_dims=4, min_side=0,
+                                            max_side=5))
+
+
+def _fgmr_bytes(array):
+    return (D.FGMR_MAGIC + struct.pack("<IBB", D.FGMR_VERSION,
+                                        D._DTYPE_CODES[array.dtype], array.ndim)
+            + struct.pack(f"<{array.ndim}Q", *array.shape)
+            + array.astype(array.dtype.newbyteorder("<")).tobytes())
+
+
+class TestContainerFuzz:
+    """Property tests: valid files round-trip bitwise; every malformed file
+    raises ContainerError and nothing else."""
+
+    @_FUZZ
+    @given(arr=_ARRAYS)
+    def test_roundtrip_bitwise(self, tmp_path, arr):
+        p = str(tmp_path / "r.fgmr")
+        D.write_tensor(p, arr)
+        assert open(p, "rb").read() == _fgmr_bytes(arr)
+        back = D.read_tensor(p)
+        assert back.dtype == arr.dtype and back.shape == arr.shape
+        assert back.tobytes() == arr.tobytes()
+        assert back.flags.writeable
+        back[...] = 0  # the caller owns the buffer
+
+    def test_every_truncation_of_2x3(self, tmp_path):
+        blob = _fgmr_bytes(np.arange(6, dtype=np.float32).reshape(2, 3))
+        p = str(tmp_path / "t.fgmr")
+        for cut in range(len(blob)):
+            open(p, "wb").write(blob[:cut])
+            with pytest.raises(D.ContainerError):
+                D.read_tensor(p)
+
+    @_FUZZ
+    @given(arr=_ARRAYS, data=st.data())
+    def test_truncation_and_tail(self, tmp_path, arr, data):
+        blob = _fgmr_bytes(arr)
+        cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+        tail = data.draw(st.binary(min_size=1, max_size=24), label="tail")
+        p = str(tmp_path / "f.fgmr")
+        for bad in (blob[:cut], blob + tail):
+            open(p, "wb").write(bad)
+            with pytest.raises(D.ContainerError):
+                D.read_tensor(p)
+
+    @_FUZZ
+    @given(version=st.sampled_from([D.FGMR_VERSION, 0, 2, 2**32 - 1]),
+           code=st.integers(0, 255),
+           dims=st.lists(st.one_of(st.integers(0, 4),
+                                   st.sampled_from([2**32, 2**63, 2**64 - 1]),
+                                   st.integers(0, 2**64 - 1)), max_size=70),
+           payload=st.binary(max_size=64))
+    @example(version=1, code=1, dims=[2**32, 2**32], payload=b"")
+    @example(version=1, code=2, dims=[0, 2**64 - 1], payload=b"")
+    @example(version=1, code=1, dims=[1] * 65, payload=b"\0" * 4)
+    def test_random_header(self, tmp_path, version, code, dims, payload):
+        p = str(tmp_path / "h.fgmr")
+        with open(p, "wb") as f:
+            f.write(D.FGMR_MAGIC + struct.pack("<IBB", version, code, len(dims)))
+            f.write(struct.pack(f"<{len(dims)}Q", *dims) + payload)
+        valid = (version == D.FGMR_VERSION and code in D._CODE_DTYPES
+                 and math.prod(dims) * D._CODE_DTYPES[code].itemsize == len(payload))
+        try:
+            back = D.read_tensor(p)
+        except D.ContainerError:
+            return
+        assert valid
+        assert back.shape == tuple(dims) and back.tobytes() == payload
 
 
 class TestPpm:

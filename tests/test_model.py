@@ -9,6 +9,8 @@ from fgmae import features as F
 from fgmae.tensor import Tensor
 from fgmae.rng import Rng
 
+from oracles import trunc_normal_reference
+
 
 TINY = M.ModelConfig(image_size=32, patch_size=8, in_channels=2,
                      enc_width=64, enc_depth=2, enc_heads=4,
@@ -83,6 +85,16 @@ class TestInit:
         assert np.abs(out).max() <= 0.04
         # truncation at +-2 std shrinks the sample std to about 0.88 std
         assert abs(out.std() - 0.88 * 0.02) < 0.001
+
+    @pytest.mark.parametrize("shape", [(1, 1, 64), (384, 1536), (7,), (33, 5, 3)])
+    @pytest.mark.parametrize("std", [0.02, 1.0, 3.5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_trunc_normal_matches_oracle_bitwise(self, shape, std, seed):
+        out = M.trunc_normal(np.random.default_rng(seed), shape, std=std)
+        ref = trunc_normal_reference(np.random.default_rng(seed), shape, std=std)
+        assert out.shape == shape and out.dtype == ref.dtype
+        assert out.tobytes() == ref.tobytes()
+        assert np.abs(out).max() <= 2.0 * std
 
 
 class TestForward:
