@@ -23,7 +23,7 @@ from . import features as F
 from . import model as M
 from . import pretrain as P
 from .rng import Rng
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -298,6 +298,10 @@ def cmd_render(args):
             model, _, _, _, run_cfg, _ = P.load_checkpoint(args.checkpoint)
         except (OSError, P.CheckpointError, D.ContainerError) as exc:
             _fail("io", str(exc), EXIT_IO)
+        if (args.mode == "hog"
+                and run_cfg["feature"]["variant"] not in ("hog", "hog+ndi")):
+            _fail("feature", "checkpoint head does not predict HOG",
+                  EXIT_GEOMETRY)
         cfg = model.config
         if image.shape[-1] != cfg.image_size:
             image = np.stack([D._bilinear_resize(im, cfg.image_size, cfg.image_size)
@@ -306,7 +310,8 @@ def cmd_render(args):
         gen = Rng(_default_seed(args)).child("render").at(0)
         plan = M.random_masking_plan(image.shape[0], cfg.n_patches,
                                      cfg.mask_ratio, gen)
-        pred = model.forward(Tensor(image.astype(np.float32)), plan)
+        with no_grad():
+            pred = model.forward(Tensor(image.astype(np.float32)), plan)
         if args.mode == "ndi":
             ndi_pred = pred[1] if isinstance(pred, tuple) else pred
             if ndi_pred.shape[-1] != cfg.patch_size ** 2 * 3:

@@ -7,6 +7,7 @@ OA, AA, mIoU), and the feature-ablation study runner.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import os
@@ -181,11 +182,6 @@ def params_digest(params):
     return h.hexdigest()
 
 
-def _batched_features(model, images, detach):
-    feats = model.encoder_features(Tensor(np.asarray(images, dtype=np.float32)))
-    return feats.detach() if detach else feats
-
-
 def _classifier_loss(logits, labels, task):
     if task == "multilabel":
         # one-vs-all logistic: mean(softplus(x) - t * x)
@@ -208,8 +204,9 @@ def _evaluate_classifier(model, clf, entries, data_dir, pcfg, n_classes):
         imgs = [_eval_view(_prepare_image(
             D.read_tensor(os.path.join(data_dir, e.path)), model.config), model.config)
             for e in chunk]
-        feats = _batched_features(model, np.stack(imgs), detach=True)
-        logits = T.matmul(feats, clf["clf.w"]) + clf["clf.b"]
+        with T.no_grad():
+            feats = model.encoder_features(Tensor(np.stack(imgs)))
+            logits = T.matmul(feats, clf["clf.w"]) + clf["clf.b"]
         logits_all.append(logits.data)
     scores = np.concatenate(logits_all)
     report = MetricsReport()
@@ -240,8 +237,7 @@ def _train_classifier(model, entries, data_dir, pcfg, n_classes, trainable_encod
     if trainable_encoder:
         params.update(model.params)
         opt_state = O.OptimState(lr=pcfg.lr, weight_decay=pcfg.weight_decay)
-        opt_state.no_decay = {n for n in params
-                              if ".ln" in n or ".norm." in n or n == "mask_token"}
+        opt_state.no_decay = O.no_decay_names(params)
         opt_state.lr_scale = layer_decay_scales(model.config, pcfg.layer_decay)
 
     labels = _labels_for(entries, pcfg.task, n_classes)
@@ -275,7 +271,9 @@ def _train_classifier(model, entries, data_dir, pcfg, n_classes, trainable_encod
                 batch = batch.astype(np.float32)
             for p in params.values():
                 p.grad = None
-            feats = _batched_features(model, batch, detach=not trainable_encoder)
+            # a frozen encoder runs without a tape
+            with contextlib.nullcontext() if trainable_encoder else T.no_grad():
+                feats = model.encoder_features(Tensor(batch))
             logits = T.matmul(feats, clf["clf.w"]) + clf["clf.b"]
             loss = _classifier_loss(logits, y, pcfg.task)
             loss.backward()

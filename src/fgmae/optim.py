@@ -49,6 +49,11 @@ class OptimState:
     no_decay: set = field(default_factory=set)
 
 
+def no_decay_names(names):
+    """The parameters exempt from weight decay: norms and the mask token."""
+    return {n for n in names if ".ln" in n or ".norm." in n or n == "mask_token"}
+
+
 def adamw_step(params, grads, state, lr=None):
     """One decoupled-weight-decay Adam step over named parameters in place.
 

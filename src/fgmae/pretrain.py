@@ -102,8 +102,7 @@ class Trainer:
         self.opt = O.OptimState(lr=cfg.base_lr, beta1=cfg.adam_betas[0],
                                 beta2=cfg.adam_betas[1],
                                 weight_decay=cfg.weight_decay)
-        self.opt.no_decay = {n for n in self.model.params
-                             if ".ln" in n or ".norm." in n or n == "mask_token"}
+        self.opt.no_decay = O.no_decay_names(self.model.params)
         self.step = 0
         self.loss_log = []  # (step, lr, loss)
 
@@ -196,9 +195,8 @@ class Trainer:
         if cfg is None:
             cfg = config_from_dict(stored_cfg_dict)
         trainer = cls(cfg, entries, data_dir, params_from=model)
+        opt.no_decay = trainer.opt.no_decay
         trainer.opt = opt
-        trainer.opt.no_decay = {n for n in model.params
-                                if ".ln" in n or ".norm." in n or n == "mask_token"}
         trainer.step = step
         trainer.loss_log = list(loss_log)
         return trainer
@@ -298,10 +296,11 @@ def load_checkpoint(path, cfg=None):
     model.enc_pos = M.sincos_pos_embed(model_cfg.enc_width, model_cfg.grid).astype(np.float32)
     model.dec_pos = M.sincos_pos_embed(model_cfg.dec_width, model_cfg.grid).astype(np.float32)
     for name, shape in index["names"].items():
-        fpath = os.path.join(path, f"param__{name}.fgmr")
-        if not os.path.exists(fpath):
-            raise CheckpointError(f"missing tensor file for parameter {name!r}")
-        arr = D.read_tensor(fpath)
+        try:
+            arr = D.read_tensor(os.path.join(path, f"param__{name}.fgmr"))
+        except FileNotFoundError:
+            raise CheckpointError(f"missing tensor file for parameter "
+                                  f"{name!r}") from None
         if list(arr.shape) != list(shape):
             raise CheckpointError(f"shape mismatch for parameter {name!r}: "
                                   f"index says {shape}, file has {list(arr.shape)}")

@@ -6,10 +6,17 @@ accumulates gradients additively across fan-out. Single-threaded numpy ops
 keep results bitwise deterministic. A backward closure captures its inputs
 and plain arrays, never its own output node, so no reference cycle forms
 and a tape is freed by reference counting as soon as it is dropped.
+
+Every node is made by the module-level ``_node``. Inside ``with no_grad():``
+it records nothing: results carry no tape and ``requires_grad`` is False,
+which is how frozen encoders and inference run. ``Tensor.__getitem__`` takes
+basic indices only (ints, slices, ``...``, ``None`` and tuples of these) and
+raises ``TypeError`` for index arrays; ``gather_tokens`` does per-token gathers.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -18,6 +25,8 @@ from scipy.special import ndtr
 DEFAULT_DTYPE = np.float32
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+_grad_enabled = True
 
 
 class Tensor:
@@ -59,9 +68,6 @@ class Tensor:
 
     def numpy(self):
         return self.data
-
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
 
     def astype(self, dtype):
         out = _node(self.data.astype(dtype), (self,))
@@ -134,11 +140,18 @@ class Tensor:
         return power(self, exponent)
 
     def __getitem__(self, key):
+        for k in key if isinstance(key, tuple) else (key,):
+            if not (k is None or k is Ellipsis or isinstance(k, slice)
+                    or isinstance(k, (int, np.integer)) and not isinstance(k, bool)):
+                raise TypeError(f"Tensor index {k!r} is not a basic index; "
+                                "use gather_tokens for per-token gathers")
         out = _node(self.data[key], (self,))
         if out.requires_grad:
             def _bw(g, a=self, key=key):
+                # a basic index selects each element at most once, so this
+                # adds exactly what np.add.at would
                 ga = np.zeros_like(a.data)
-                np.add.at(ga, key, g)
+                ga[key] += g
                 _accum(a, ga)
             out._backward = _bw
         return out
@@ -161,8 +174,21 @@ def _wrap(x):
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=DEFAULT_DTYPE))
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape nodes inside the block; restores the previous mode on
+    exit, so blocks nest and survive exceptions."""
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
+
 def _node(data, prev):
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in prev))
+    out = Tensor(data, requires_grad=_grad_enabled
+                 and any(p.requires_grad for p in prev))
     if out.requires_grad:
         out._prev = tuple(prev)
     return out
@@ -381,16 +407,57 @@ def softmax(x, axis=-1):
 
 
 def layer_norm(x, gamma, beta, eps=1e-6):
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    x = _wrap(x)
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    Four tape nodes: c = x - mean(x), v = mean(c·c) + eps, inv = v ** -0.5
+    and c·inv·γ + β. Forward and backward run the numpy operations of that
+    composition of elementwise ops and means in the same order, so every bit
+    matches it; only the gradients toward its constants are not computed.
+    """
+    x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
     d = x.shape[-1]
     if d == 0:
         raise ValueError("layer_norm over an empty axis")
-    mu = tmean(x, axis=-1, keepdims=True)
-    centered = x - mu
-    var = tmean(centered * centered, axis=-1, keepdims=True)
-    inv = power(var + eps, -0.5)
-    return centered * inv * gamma + beta
+    # the composition's constants: 1/d in the operand dtype (as tmean makes
+    # it), -1 and eps as _wrap makes them
+    inv_d = np.asarray(1.0 / float(d), dtype=x.data.dtype)
+    neg = np.asarray(-1.0, dtype=DEFAULT_DTYPE)
+    eps = np.asarray(eps, dtype=DEFAULT_DTYPE)
+    stat_shape = x.shape[:-1] + (1,)
+
+    c = _node(x.data + x.data.sum(axis=-1, keepdims=True) * inv_d * neg, (x,))
+    if c.requires_grad:
+        def _bw_center(g, x=x):
+            # the centered term first, then the mean's broadcast term
+            _accum(x, _unbroadcast(g, x.shape))
+            _accum(x, np.broadcast_to(_unbroadcast(g, stat_shape) * neg * inv_d,
+                                      x.shape))
+        c._backward = _bw_center
+
+    v = _node((c.data * c.data).sum(axis=-1, keepdims=True) * inv_d + eps, (c,))
+    if v.requires_grad:
+        def _bw_var(g, c=c):
+            # c·c has c on both sides: two equal accumulations
+            gsq = (g * inv_d) * c.data
+            _accum(c, gsq)
+            _accum(c, gsq)
+        v._backward = _bw_var
+
+    inv = power(v, -0.5)
+    n = c.data * inv.data
+    k = n * gamma.data
+    out = _node(k + beta.data, (c, inv, gamma, beta))
+    if out.requires_grad:
+        def _bw_affine(g, c=c, inv=inv, gamma=gamma, beta=beta, n=n,
+                       k_shape=k.shape):
+            gk = _unbroadcast(g, k_shape)
+            _accum(beta, _unbroadcast(g, beta.shape))
+            gn = _unbroadcast(gk * gamma.data, n.shape)
+            _accum(gamma, _unbroadcast(gk * n, gamma.shape))
+            _accum(c, _unbroadcast(gn * inv.data, c.shape))
+            _accum(inv, _unbroadcast(gn * c.data, inv.shape))
+        out._backward = _bw_affine
+    return out
 
 
 def log_softmax(x, axis=-1):

@@ -1,12 +1,16 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here is written as plain scalar loops (or tiny brute-force
-enumerations), deliberately avoiding the vectorized code paths under test.
+Most are plain scalar loops (or tiny brute-force enumerations),
+deliberately avoiding the vectorized code paths under test. The autodiff
+oracles are the compositions that fused tape ops replaced, kept to check
+that the fused ops match them bit for bit.
 """
 
 import math
 
 import numpy as np
+
+from fgmae import tensor as T
 
 
 # ---------------------------------------------------------------------------
@@ -197,4 +201,28 @@ def trunc_normal_reference(generator, shape, std=0.02):
     while bad.any():
         out[bad] = generator.normal(0.0, std, size=int(bad.sum()))
         bad = np.abs(out) > 2.0 * std
+    return out
+
+
+# ---------------------------------------------------------------------------
+# autodiff oracles: layer_norm composed of elementwise ops and means (12 tape
+# nodes), and an index whose backward scatters with np.add.at
+
+
+def layer_norm_reference(x, gamma, beta, eps=1e-6):
+    mu = T.tmean(x, axis=-1, keepdims=True)
+    centered = x - mu
+    var = T.tmean(centered * centered, axis=-1, keepdims=True)
+    inv = T.power(var + eps, -0.5)
+    return centered * inv * gamma + beta
+
+
+def getitem_reference(t, key):
+    out = T._node(t.data[key], (t,))
+    if out.requires_grad:
+        def _bw(g, a=t, key=key):
+            ga = np.zeros_like(a.data)
+            np.add.at(ga, key, g)
+            T._accum(a, ga)
+        out._backward = _bw
     return out

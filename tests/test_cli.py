@@ -276,6 +276,22 @@ class TestRenderCommand:
         assert code == 0
         assert open(dst, "rb").read().startswith(b"P5\n128 128\n255\n")
 
+    def test_hog_on_non_hog_checkpoint_is_feature_error(self, tmp_path, capsys,
+                                                        sar_dataset):
+        manifest = os.path.join(sar_dataset, "manifest.csv")
+        cfg = _pretrain_config(tmp_path, manifest, epochs=1, warmup_epochs=0,
+                               feature={"variant": "canny"})
+        out = str(tmp_path / "run")
+        assert cli.main(["pretrain", "--config", cfg, "--out", out]) == 0
+        scene = D.read_manifest(manifest)[0]
+        code, _, err = run_cli(["render", "--mode", "hog",
+                                "--in", os.path.join(sar_dataset, scene.path),
+                                "--out", str(tmp_path / "hog.ppm"),
+                                "--checkpoint", os.path.join(out, "checkpoint")],
+                               capsys)
+        assert code == cli.EXIT_GEOMETRY
+        assert err.startswith("error[feature]")
+
     def test_ndi_requires_checkpoint(self, tmp_path, capsys):
         src = str(tmp_path / "s.fgmr")
         D.write_tensor(src, np.zeros((13, 32, 32), dtype=np.float32))

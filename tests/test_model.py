@@ -6,6 +6,7 @@ import pytest
 
 from fgmae import model as M
 from fgmae import features as F
+from fgmae import tensor as T
 from fgmae.tensor import Tensor
 from fgmae.rng import Rng
 
@@ -140,6 +141,19 @@ class TestForward:
         img = Tensor(np.random.default_rng(8).random((3, 2, 32, 32)))
         feats = model.encoder_features(img)
         assert feats.shape == (3, 64)
+
+    def test_no_grad_encoder_records_nothing_same_bytes(self, monkeypatch):
+        from test_tensor import node_counter
+        model = _model()
+        img = Tensor(np.random.default_rng(10).random((2, 2, 32, 32),
+                                                      dtype=np.float32))
+        plan = M.random_masking_plan(2, 16, 0.7, np.random.default_rng(11))
+        ref = model.encode(img, plan)
+        made = node_counter(monkeypatch)
+        with T.no_grad():
+            out = model.encode(img, plan)
+        assert made[0] == 0 and not out.requires_grad
+        assert out.data.tobytes() == ref.data.tobytes()
 
     def test_patchify_tensor_matches_array(self):
         img = np.random.default_rng(9).random((2, 3, 16, 16))

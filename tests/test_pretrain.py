@@ -150,6 +150,16 @@ class TestCheckpoint:
             P.load_checkpoint(str(ckpt))
         assert victim[len("v__"):-len(".fgmr")] in str(exc.value)
 
+    def test_missing_param_file_is_checkpoint_error(self, tmp_path):
+        manifest = _dataset(tmp_path)
+        P.pretrain_run(_cfg(), manifest, str(tmp_path / "run"))
+        ckpt = tmp_path / "run" / "checkpoint"
+        victim = next(f for f in sorted(os.listdir(ckpt)) if f.startswith("param__"))
+        os.remove(ckpt / victim)
+        with pytest.raises(P.CheckpointError) as exc:
+            P.load_checkpoint(str(ckpt))
+        assert victim[len("param__"):-len(".fgmr")] in str(exc.value)
+
     def test_load_model_helper(self, tmp_path):
         manifest = _dataset(tmp_path)
         trainer = P.pretrain_run(_cfg(), manifest, str(tmp_path / "run"))
@@ -157,15 +167,19 @@ class TestCheckpoint:
         assert params_digest(model.params) == params_digest(trainer.model.params)
 
 
+def _demo_trainer(tmp_path):
+    demo = os.path.join(os.path.dirname(__file__), "..", "demos",
+                        "pretrain_config.json")
+    with open(demo) as f:
+        cfg = cli._from_dict(P.PretrainConfig, json.load(f))
+    manifest = _dataset(tmp_path, n_locations=8)
+    return P.Trainer(cfg, D.read_manifest(manifest), os.path.dirname(manifest))
+
+
 class TestMemory:
     def test_train_step_leaves_no_cyclic_garbage(self, tmp_path):
         # the step's tape must go by reference counting when the step ends
-        demo = os.path.join(os.path.dirname(__file__), "..", "demos",
-                            "pretrain_config.json")
-        with open(demo) as f:
-            cfg = cli._from_dict(P.PretrainConfig, json.load(f))
-        manifest = _dataset(tmp_path, n_locations=8)
-        trainer = P.Trainer(cfg, D.read_manifest(manifest), os.path.dirname(manifest))
+        trainer = _demo_trainer(tmp_path)
         gc.collect()
         gc.disable()
         try:
@@ -173,6 +187,16 @@ class TestMemory:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestTape:
+    def test_demo_step_records_161_nodes(self, tmp_path, monkeypatch):
+        # 2+2 blocks: 4-node layer_norms, one node per qkv split
+        from test_tensor import node_counter
+        trainer = _demo_trainer(tmp_path)
+        made = node_counter(monkeypatch)
+        trainer.train_step()
+        assert made[0] == 161
 
 
 class TestLossLog:

@@ -10,6 +10,8 @@ from fgmae import tensor as T
 from fgmae.tensor import Tensor
 from fgmae import optim as O
 
+from oracles import getitem_reference, layer_norm_reference
+
 
 def _fd_check(f, x, tol=1e-4):
     err = T.grad_check(f, x)
@@ -19,6 +21,19 @@ def _fd_check(f, x, tol=1e-4):
 def _rand(shape, seed):
     gen = np.random.default_rng(seed)
     return Tensor(gen.standard_normal(shape), requires_grad=True, dtype=np.float64)
+
+
+def node_counter(monkeypatch):
+    """A one-element list that counts the tape nodes recorded from now on."""
+    made = [0]
+    original = T._node
+
+    def node(data, prev):
+        out = original(data, prev)
+        made[0] += out.requires_grad
+        return out
+    monkeypatch.setattr(T, "_node", node)
+    return made
 
 
 class TestOps:
@@ -182,6 +197,78 @@ class TestBackward:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestFusedOps:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_norm_bitwise_equals_composition(self, dtype):
+        gen = np.random.default_rng(30)
+        xs = (gen.standard_normal((2, 5, 16)) * 3 + 1).astype(dtype)
+        gs = (1 + 0.1 * gen.standard_normal(16)).astype(dtype)
+        bs = (0.1 * gen.standard_normal(16)).astype(dtype)
+        w = Tensor(gen.standard_normal((2, 5, 16)).astype(dtype))
+        results = []
+        for ln in (T.layer_norm, layer_norm_reference):
+            x = Tensor(xs, requires_grad=True)
+            g = Tensor(gs, requires_grad=True)
+            b = Tensor(bs, requires_grad=True)
+            # x also feeds a residual add, so it already holds a gradient
+            # when layer_norm's backward adds its two terms to it
+            y = x + ln(x, g, b) * w
+            T.tsum(y * y).backward()
+            results.append((y.data, x.grad, g.grad, b.grad))
+        for new, ref in zip(*results):
+            assert new.dtype == ref.dtype == dtype
+            assert new.tobytes() == ref.tobytes()
+
+    def test_layer_norm_records_four_nodes(self, monkeypatch):
+        x, g, b = _rand((3, 8), 31), _rand((8,), 32), _rand((8,), 33)
+        made = node_counter(monkeypatch)
+        T.layer_norm(x, g, b)
+        assert made[0] == 4
+
+    def test_getitem_backward_bitwise_equals_scatter_add(self):
+        keys = (0, -1, np.int64(1), (slice(None), 2), (Ellipsis, slice(1, 3)),
+                (None, 1), (1, slice(None, None, 2), None))
+        xs = np.random.default_rng(34).standard_normal((3, 4, 5)).astype(np.float32)
+        for key in keys:
+            grads = []
+            for index in (Tensor.__getitem__, getitem_reference):
+                x = Tensor(xs, requires_grad=True)
+                y = index(x, key)
+                (T.tsum(y * y) + T.tsum(x * 0.5)).backward()
+                grads.append(x.grad)
+            assert grads[0].tobytes() == grads[1].tobytes(), key
+
+    def test_getitem_rejects_advanced_indices(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        for key in (np.array([0, 1]), [0, 1], (slice(None), np.array([0, 0])),
+                    True, np.array(True), x.data > 2):
+            with pytest.raises(TypeError):
+                x[key]
+
+
+class TestNoGrad:
+    def test_records_nothing_and_computes_the_same(self, monkeypatch):
+        x, g, b = _rand((3, 8), 35), _rand((8,), 36), _rand((8,), 37)
+        ref = T.softmax(T.layer_norm(x, g, b)[1:] * 2.0)
+        made = node_counter(monkeypatch)
+        with T.no_grad():
+            out = T.softmax(T.layer_norm(x, g, b)[1:] * 2.0)
+        assert made[0] == 0 and not out.requires_grad and out._prev == ()
+        assert out.data.tobytes() == ref.data.tobytes()
+
+    def test_mode_restored_after_exception_and_when_nested(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                raise RuntimeError("inside")
+        assert (x * 2.0).requires_grad
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert not (x * 2.0).requires_grad
+        assert (x * 2.0).requires_grad
 
 
 class TestUtilities:
