@@ -295,7 +295,8 @@ def cmd_render(args):
             _fail("config", f"--checkpoint required for mode {args.mode}",
                   EXIT_CONFIG)
         try:
-            model, _, _, _, run_cfg, _ = P.load_checkpoint(args.checkpoint)
+            model, _, _, _, run_cfg, _ = P.load_checkpoint(args.checkpoint,
+                                                            moments=False)
         except (OSError, P.CheckpointError, D.ContainerError) as exc:
             _fail("io", str(exc), EXIT_IO)
         if (args.mode == "hog"

@@ -235,7 +235,9 @@ def _train_classifier(model, entries, data_dir, pcfg, n_classes, trainable_encod
     params = dict(clf)
     opt_state = None
     if trainable_encoder:
-        params.update(model.params)
+        # the encoder only: decoder, mask token and heads get no gradient
+        params.update((n, p) for n, p in model.params.items()
+                      if n.startswith(("embed.", "enc.")))
         opt_state = O.OptimState(lr=pcfg.lr, weight_decay=pcfg.weight_decay)
         opt_state.no_decay = O.no_decay_names(params)
         opt_state.lr_scale = layer_decay_scales(model.config, pcfg.layer_decay)

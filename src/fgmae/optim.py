@@ -2,6 +2,27 @@
 
 AdamW with decoupled weight decay, plain SGD for linear probes, and the
 linear-warmup + cosine-decay schedule used for pretraining.
+
+AdamW keeps its parameters in a ``ParamArena``. Parameters are grouped by
+(lr scale, weight-decay exemption, dtype), and each group keeps its
+parameters, gradients and both Adam moments in four flat buffers. A group
+holds whole parameters and at most ``MAX_GROUP`` elements (a larger
+parameter gets a group of its own), so its buffers are no larger than the
+per-parameter arrays they replace and the allocator reuses their memory
+from one arena to the next. With one buffer per group, each ViT-S
+checkpoint load faulted in 276 MB of fresh pages and took 30% longer.
+``Tensor.data``, ``state.m[name]`` and ``state.v[name]`` are views into
+them, and the tensor's ``grad_buffer`` is the view its first gradient of a
+backward pass is copied into (when C-contiguous; see ``tensor._accum``).
+``adamw_step`` then updates each group in place, over blocks of ``BLOCK``
+elements, with two scratch blocks that stay in cache instead of a fresh
+temporary array per operation.
+
+Blocking keeps every bit. Each element still goes through the same IEEE
+operations in the same order, with the same operands: every operation is
+elementwise, correctly rounded and computed in the parameter dtype (the
+hyperparameters are Python floats, which numpy casts to that dtype).
+Where an element sits in a buffer or a block does not change its result.
 """
 
 from __future__ import annotations
@@ -10,6 +31,20 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# Elements per block of the in-place update: the block's slices of p, g, m
+# and v and the two scratch blocks stay in cache between operations. On a
+# 2-core Xeon VM one ViT-S update took 150, 140, 118, 130, 144 and 163 ms
+# with blocks of 2^13 to 2^18, and one demo-model update inside training
+# 1.34, 1.18, 1.05, 1.05 and 1.36 ms with 2^13 to 2^16 and 2^18.
+BLOCK = 1 << 15
+
+# Elements per group at most (128 KB of float32), unless one parameter is
+# larger. Buffers this small are reused from the heap from one arena to the
+# next instead of being mapped and faulted in afresh: building a 13-band demo
+# Trainer took 18% longer than at the parent with 2^19 (392 minor faults)
+# and 7% longer with 2^15 (none).
+MAX_GROUP = 1 << 15
 
 
 @dataclass
@@ -34,7 +69,10 @@ def lr_at(step, schedule):
 
 @dataclass
 class OptimState:
-    """Per-parameter AdamW state plus hyperparameters."""
+    """Per-parameter AdamW state plus hyperparameters.
+
+    ``m`` and ``v`` hold a name only once that parameter has been stepped;
+    their arrays are views into ``arena``."""
 
     lr: float = 1.5e-4
     beta1: float = 0.9
@@ -47,6 +85,7 @@ class OptimState:
     # per-parameter lr scale (layer decay) and weight-decay exemptions
     lr_scale: dict = field(default_factory=dict)
     no_decay: set = field(default_factory=set)
+    arena: ParamArena | None = field(default=None, repr=False)
 
 
 def no_decay_names(names):
@@ -54,47 +93,172 @@ def no_decay_names(names):
     return {n for n in names if ".ln" in n or ".norm." in n or n == "mask_token"}
 
 
+class _Group:
+    """One (lr scale, decay exemption, dtype) group's flat buffers; members
+    are (name, start, stop) in buffer order. A gradient view is written
+    before it is read, so only the moments start zeroed."""
+
+    def __init__(self, scale, exempt, dtype, members, size):
+        self.scale, self.exempt, self.members = scale, exempt, members
+        self.p, self.g = np.empty(size, dtype), np.empty(size, dtype)
+        self.m, self.v = np.zeros(size, dtype), np.zeros(size, dtype)
+
+
+class ParamArena:
+    """Flat per-group storage for named parameters and their AdamW state.
+
+    Rebinds every ``p.data`` to its view (copying the current values when
+    ``copy``; a checkpoint load reads into the views instead), points
+    ``p.grad_buffer`` at its gradient view, and moves any moments already
+    in ``state.m``/``state.v`` into their views."""
+
+    def __init__(self, params, state, copy=True):
+        keyed = {}  # key -> member lists of its groups, the last one open
+        for name, p in params.items():
+            key = (state.lr_scale.get(name, 1.0), name in state.no_decay,
+                   p.data.dtype)
+            groups = keyed.setdefault(key, [[]])
+            if (groups[-1] and sum(q.data.size for _, q in groups[-1])
+                    + p.data.size > MAX_GROUP):
+                groups.append([])
+            groups[-1].append((name, p))
+        self.lr_scale = dict(state.lr_scale)
+        self.no_decay = set(state.no_decay)
+        self.groups = []
+        self.views = {}  # name -> (p, g, m, v) views
+        for (scale, exempt, dtype), members in (
+                (key, members) for key, groups in keyed.items()
+                for members in groups):
+            spans, size = [], 0
+            for name, p in members:
+                spans.append((name, size, size + p.data.size))
+                size += p.data.size
+            group = _Group(scale, exempt, dtype, spans, size)
+            self.groups.append(group)
+            for (name, p), (_, a, b) in zip(members, spans):
+                views = tuple(buf[a:b].reshape(p.data.shape)
+                              for buf in (group.p, group.g, group.m, group.v))
+                if copy:
+                    views[0][...] = p.data
+                p.data, p.grad_buffer = views[0], views[1]
+                for store, view in ((state.m, views[2]), (state.v, views[3])):
+                    if name in store:
+                        view[...] = store[name]
+                        store[name] = view
+                self.views[name] = views
+        self.scratch = None  # see adamw_step
+
+    def fits(self, params, state):
+        """Whether ``params`` are exactly this arena's, still bound to their
+        views, under the grouping ``state`` asks for."""
+        views = self.views
+        return (len(params) == len(views)
+                and all(name in views and p.data is views[name][0]
+                        for name, p in params.items())
+                and state.lr_scale == self.lr_scale
+                and state.no_decay == self.no_decay)
+
+
+def _runs(group, grads):
+    """[start, stop) runs of a group's buffers whose parameters have a
+    gradient, adjacent ones merged."""
+    runs = []
+    for name, a, b in group.members:
+        if grads[name] is None or a == b:
+            continue
+        if runs and runs[-1][1] == a:
+            runs[-1][1] = b
+        else:
+            runs.append([a, b])
+    return runs
+
+
+def _all_finite(x):
+    # block by block, so that no boolean array the size of a group is made
+    flat = x.reshape(-1)
+    return all(np.isfinite(flat[a:a + BLOCK]).all()
+               for a in range(0, flat.size, BLOCK))
+
+
 def adamw_step(params, grads, state, lr=None):
     """One decoupled-weight-decay Adam step over named parameters in place.
 
-    ``params``/``grads`` map name -> Tensor / ndarray. ``lr`` overrides the
-    stored rate (for schedules). Raises on non-finite gradients.
+    ``params``/``grads`` map name -> Tensor / ndarray; a ``None`` gradient
+    skips its parameter. Gradients other than the arena's own views are
+    copied into it first, cast to the parameter dtype. ``lr`` overrides the
+    stored rate (for schedules). Every gradient is checked before anything
+    is written: a non-finite one raises FloatingPointError naming the first
+    such parameter in ``params`` order, and leaves the parameters, the
+    moments and ``state.t`` as they were.
     """
     if lr is None:
         lr = state.lr
+    arena = state.arena
+    if arena is None or not arena.fits(params, state):
+        arena = state.arena = ParamArena(params, state)
+    for name in params:
+        g = grads[name]
+        if g is not None and g is not arena.views[name][1]:
+            np.copyto(arena.views[name][1], g, casting="unsafe")
+    plan = [(group, _runs(group, grads)) for group in arena.groups]
+    if not all(_all_finite(group.g[a:b]) for group, runs in plan
+               for a, b in runs):
+        for name in params:
+            if grads[name] is not None and not _all_finite(arena.views[name][1]):
+                raise FloatingPointError(
+                    f"non-finite gradient for parameter {name!r}")
     state.t += 1
     t = state.t
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    for name, p in params.items():
-        g = grads[name]
-        if g is None:
-            continue
-        g = np.asarray(g)
-        if not np.isfinite(g).all():
-            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        scale = state.lr_scale.get(name, 1.0)
-        wd = 0.0 if name in state.no_decay else state.weight_decay
-        p.data = p.data - lr * scale * (m_hat / (np.sqrt(v_hat) + state.eps) + wd * p.data)
+    beta1, beta2, eps = state.beta1, state.beta2, state.eps
+    c1, c2 = 1.0 - beta1, 1.0 - beta2
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for group, runs in plan:
+        wd = 0.0 if group.exempt else state.weight_decay
+        step = lr * group.scale
+        block = BLOCK
+        longest = max((b - a for a, b in runs), default=0)
+        # The scratch blocks stay on the arena until the next step. Made after
+        # the step's tape, they keep glibc from trimming the heap top when
+        # the tape is freed; freed here, each step handed those pages back
+        # and faulted them in again (about 4,800 minor faults per 13-band
+        # demo step and 600 per checkpoint load, 0 with the blocks kept).
+        s1, s2 = arena.scratch = np.empty((2, min(block, longest)),
+                                          group.p.dtype)
+        for start, stop in runs:
+            for a in range(start, stop, block):
+                b = min(a + block, stop)
+                p, g, m, v = group.p[a:b], group.g[a:b], group.m[a:b], group.v[a:b]
+                t1, t2 = s1[:b - a], s2[:b - a]
+                np.multiply(m, beta1, out=m)                # m *= beta1
+                np.multiply(g, c1, out=t1)
+                np.add(m, t1, out=m)                        # m += (1 - beta1) g
+                np.multiply(v, beta2, out=v)                # v *= beta2
+                np.multiply(g, c2, out=t1)
+                np.multiply(t1, g, out=t1)
+                np.add(v, t1, out=v)                        # v += (1 - beta2) g g
+                np.divide(m, bc1, out=t1)                   # m_hat
+                np.divide(v, bc2, out=t2)                   # v_hat
+                np.sqrt(t2, out=t2)
+                np.add(t2, eps, out=t2)
+                np.divide(t1, t2, out=t1)                   # m_hat / (sqrt + eps)
+                np.multiply(p, wd, out=t2)
+                np.add(t1, t2, out=t1)                      # ... + wd p
+                np.multiply(t1, step, out=t1)
+                np.subtract(p, t1, out=p)                   # p -= lr scale (...)
+    for name in params:
+        if grads[name] is not None and name not in state.m:
+            state.m[name], state.v[name] = arena.views[name][2:]
 
 
 def sgd_step(params, grads, lr, weight_decay=0.0):
-    """Vanilla SGD; decoupled weight decay when requested."""
+    """Vanilla SGD; decoupled weight decay when requested. Every gradient
+    is checked before any parameter is written."""
+    for name in params:
+        g = grads[name]
+        if g is not None and not np.isfinite(g).all():
+            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
     for name, p in params.items():
         g = grads[name]
-        if g is None:
-            continue
-        if not np.isfinite(g).all():
-            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
-        p.data = p.data - lr * (g + weight_decay * p.data)
+        if g is not None:
+            p.data = p.data - lr * (g + weight_decay * p.data)

@@ -22,7 +22,7 @@ from . import features as F
 from . import model as M
 from . import optim as O
 from .rng import Rng
-from .tensor import Tensor, global_grad_norm
+from .tensor import Tensor, clip_global_norm, global_grad_norm
 
 
 class TrainingDiverged(RuntimeError):
@@ -80,9 +80,13 @@ def _resolve_head_dims(cfg):
 
 
 class Trainer:
-    """Owns the model, optimizer state and data flow for one pretraining run."""
+    """Owns the model, optimizer state and data flow for one pretraining run.
 
-    def __init__(self, cfg, entries, data_dir, params_from=None):
+    A fresh trainer initialises the model and moves its parameters into the
+    optimizer's arena once, here; ``load`` passes in a model and optimizer
+    state whose arena the checkpoint was read into."""
+
+    def __init__(self, cfg, entries, data_dir, model=None, opt=None):
         self.cfg = cfg
         self.model_cfg = _resolve_head_dims(cfg)
         self.entries = entries
@@ -94,15 +98,16 @@ class Trainer:
             raise ValueError("augmentation output size must match the model "
                              "image size")
         self.rng = Rng(cfg.seed)
-        if params_from is None:
-            init_gen = self.rng.child("init").at(0)
-            self.model = M.FgMae(self.model_cfg, init_gen)
-        else:
-            self.model = params_from
-        self.opt = O.OptimState(lr=cfg.base_lr, beta1=cfg.adam_betas[0],
-                                beta2=cfg.adam_betas[1],
-                                weight_decay=cfg.weight_decay)
-        self.opt.no_decay = O.no_decay_names(self.model.params)
+        if model is None:
+            model = M.FgMae(self.model_cfg, self.rng.child("init").at(0))
+        self.model = model
+        if opt is None:
+            opt = O.OptimState(lr=cfg.base_lr, beta1=cfg.adam_betas[0],
+                               beta2=cfg.adam_betas[1],
+                               weight_decay=cfg.weight_decay)
+            opt.no_decay = O.no_decay_names(model.params)
+            opt.arena = O.ParamArena(model.params, opt)
+        self.opt = opt
         self.step = 0
         self.loss_log = []  # (step, lr, loss)
 
@@ -156,14 +161,12 @@ class Trainer:
         loss_val = float(loss.data)
         lr = O.lr_at(step, self.schedule)
         loss.backward()
-        grads = {n: p.grad for n, p in self.model.params.items()}
         if not np.isfinite(loss_val):
             raise TrainingDiverged(step, lr,
                                    global_grad_norm(self.model.params.values()))
-        if cfg.grad_clip > 0:
-            from .tensor import clip_global_norm
-            clip_global_norm(list(self.model.params.values()), cfg.grad_clip)
-            grads = {n: p.grad for n, p in self.model.params.items()}
+        if cfg.grad_clip > 0:  # scales the gradients in place
+            clip_global_norm(self.model.params, cfg.grad_clip)
+        grads = {n: p.grad for n, p in self.model.params.items()}
         O.adamw_step(self.model.params, grads, self.opt, lr=lr)
         self.step += 1
         self.loss_log.append((step, lr, loss_val))
@@ -194,9 +197,7 @@ class Trainer:
         model, opt, step, loss_log, stored_cfg_dict, _ = load_checkpoint(path, cfg)
         if cfg is None:
             cfg = config_from_dict(stored_cfg_dict)
-        trainer = cls(cfg, entries, data_dir, params_from=model)
-        opt.no_decay = trainer.opt.no_decay
-        trainer.opt = opt
+        trainer = cls(cfg, entries, data_dir, model=model, opt=opt)
         trainer.step = step
         trainer.loss_log = list(loss_log)
         return trainer
@@ -274,11 +275,15 @@ def save_checkpoint(path, model, opt, step, loss_log, cfg):
     os.replace(tmp, os.path.join(path, "index.json"))
 
 
-def load_checkpoint(path, cfg=None):
+def load_checkpoint(path, cfg=None, moments=True):
     """Rebuild (model, optimizer state, step, loss log, config dict, index).
 
-    Shape mismatches against the index are fatal and name the parameter; a
-    config-digest mismatch only warns.
+    Each parameter and moment payload is read straight into its view of a
+    fresh optimizer arena. With ``moments=False`` only the index and the
+    parameters are read, into plain arrays, and the optimizer state is
+    None. A missing file is a CheckpointError naming the parameter, a
+    payload whose shape or dtype does not match the index a ContainerError
+    naming its file; a config-digest mismatch only warns.
     """
     index_path = os.path.join(path, "index.json")
     if not os.path.exists(index_path):
@@ -292,37 +297,41 @@ def load_checkpoint(path, cfg=None):
     model = M.FgMae.__new__(M.FgMae)
     model.config = model_cfg
     model.dtype = np.float32
-    model.params = {}
+    model.params = {name: Tensor(np.empty(shape, np.float32), requires_grad=True)
+                    for name, shape in index["names"].items()}
     model.enc_pos = M.sincos_pos_embed(model_cfg.enc_width, model_cfg.grid).astype(np.float32)
     model.dec_pos = M.sincos_pos_embed(model_cfg.dec_width, model_cfg.grid).astype(np.float32)
-    for name, shape in index["names"].items():
-        try:
-            arr = D.read_tensor(os.path.join(path, f"param__{name}.fgmr"))
-        except FileNotFoundError:
-            raise CheckpointError(f"missing tensor file for parameter "
-                                  f"{name!r}") from None
-        if list(arr.shape) != list(shape):
-            raise CheckpointError(f"shape mismatch for parameter {name!r}: "
-                                  f"index says {shape}, file has {list(arr.shape)}")
-        model.params[name] = Tensor(arr, requires_grad=True)
     oi = index["optimizer"]
-    opt = O.OptimState(lr=oi["lr"], beta1=oi["beta1"], beta2=oi["beta2"],
-                       eps=oi["eps"], weight_decay=oi["weight_decay"], t=oi["t"])
-    for name in oi["has_moments"]:
-        for kind, store in (("m", opt.m), ("v", opt.v)):
-            try:
-                store[name] = D.read_tensor(os.path.join(path, f"{kind}__{name}.fgmr"))
-            except FileNotFoundError:
-                raise CheckpointError(f"missing {kind} moment file for parameter "
-                                      f"{name!r}") from None
+    opt = None
+    if moments:
+        opt = O.OptimState(lr=oi["lr"], beta1=oi["beta1"], beta2=oi["beta2"],
+                           eps=oi["eps"], weight_decay=oi["weight_decay"], t=oi["t"])
+        opt.no_decay = O.no_decay_names(model.params)
+        opt.arena = O.ParamArena(model.params, opt, copy=False)
+    for name, p in model.params.items():
+        _read_into(path, f"param__{name}.fgmr", p.data, "tensor", name)
+    for name in oi["has_moments"] if moments else ():
+        if name not in opt.arena.views:
+            raise CheckpointError(f"moments for unknown parameter {name!r}")
+        for kind, store, view in zip("mv", (opt.m, opt.v), opt.arena.views[name][2:]):
+            store[name] = _read_into(path, f"{kind}__{name}.fgmr", view,
+                                     f"{kind} moment", name)
     loss_log = [(int(s), float(lr), float(lo)) for s, lr, lo in index["loss_log"]]
     return model, opt, int(index["step"]), loss_log, index["config"], index
 
 
+def _read_into(path, fname, out, what, name):
+    try:
+        return D.read_tensor(os.path.join(path, fname), out=out)
+    except FileNotFoundError:
+        raise CheckpointError(f"missing {what} file for parameter "
+                              f"{name!r}") from None
+
+
 def load_model(path):
-    """Just the model from a checkpoint directory."""
-    model, _, _, _, _, _ = load_checkpoint(path)
-    return model
+    """Just the model from a checkpoint directory: the index and the
+    parameters, no optimizer moments."""
+    return load_checkpoint(path, moments=False)[0]
 
 
 def config_from_dict(d):

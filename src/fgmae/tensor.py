@@ -32,7 +32,10 @@ _grad_enabled = True
 class Tensor:
     """A dense n-d array that optionally participates in the gradient tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_backward", "_prev")
+    # grad_buffer: where a parameter's first gradient of a backward pass is
+    # copied (a view into the optimizer's flat buffers), or None
+    __slots__ = ("data", "requires_grad", "grad", "grad_buffer", "_backward",
+                 "_prev")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data)
@@ -43,6 +46,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.grad = None
+        self.grad_buffer = None
         self._backward = None
         self._prev = ()
 
@@ -195,12 +199,29 @@ def _node(data, prev):
 
 
 def _accum(t, g):
+    """Add g to t.grad. A gradient keeps the memory layout numpy gives it,
+    because a later reduction over it (a mean's backward, the global norm)
+    sums in memory order and rounds by it. So the first C-contiguous
+    gradient of a parameter is copied into its t.grad_buffer, and a
+    C-contiguous gradient is added to a C-contiguous t.grad in place, where
+    numpy would lay ``t.grad + g`` out alike; anything else is copied or
+    added into a new array, as before."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = g.astype(t.data.dtype, copy=True)
+        if (t.grad_buffer is not None and g.flags.c_contiguous
+                and g.shape == t.shape):
+            np.copyto(t.grad_buffer, g, casting="unsafe")
+            t.grad = t.grad_buffer
+        else:
+            t.grad = g.astype(t.data.dtype, copy=True)
+        return
+    g = g.astype(t.data.dtype, copy=False)
+    if (g.flags.c_contiguous and t.grad.flags.c_contiguous
+            and t.grad.flags.writeable and g.shape == t.grad.shape):
+        np.add(t.grad, g, out=t.grad)
     else:
-        t.grad = t.grad + g.astype(t.data.dtype, copy=False)
+        t.grad = t.grad + g
 
 
 def _unbroadcast(g, shape):
@@ -527,10 +548,13 @@ def global_grad_norm(params):
 
 
 def clip_global_norm(params, max_norm):
+    """Scale every gradient in place so the global norm is at most max_norm
+    (in place, so gradients that are views into an optimizer's buffers stay
+    views); returns the norm before clipping."""
     norm = global_grad_norm(params)
     if norm > max_norm > 0:
         scale = max_norm / norm
         for p in _param_list(params):
             if p.grad is not None:
-                p.grad = p.grad * scale
+                p.grad *= scale
     return norm

@@ -226,3 +226,40 @@ def getitem_reference(t, key):
             T._accum(a, ga)
         out._backward = _bw
     return out
+
+
+# ---------------------------------------------------------------------------
+# AdamW oracle: the per-parameter loop that the arena's blocked update replaced
+
+
+def adamw_step_reference(params, grads, state, lr=None):
+    """One AdamW step, parameter by parameter, with fresh temporaries and
+    ``p.data`` rebound to the result. Moments are created lazily with
+    ``np.zeros_like``; ``None`` gradients are skipped."""
+    if lr is None:
+        lr = state.lr
+    state.t += 1
+    t = state.t
+    bc1 = 1.0 - state.beta1 ** t
+    bc2 = 1.0 - state.beta2 ** t
+    for name, p in params.items():
+        g = grads[name]
+        if g is None:
+            continue
+        g = np.asarray(g)
+        if not np.isfinite(g).all():
+            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        m = state.m[name]
+        v = state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        m_hat = m / bc1
+        v_hat = v / bc2
+        scale = state.lr_scale.get(name, 1.0)
+        wd = 0.0 if name in state.no_decay else state.weight_decay
+        p.data = p.data - lr * scale * (m_hat / (np.sqrt(v_hat) + state.eps) + wd * p.data)

@@ -1,0 +1,239 @@
+"""AdamW's parameter arena: bitwise equal to the per-parameter loop kept in
+tests/oracles.py, all-or-nothing on non-finite gradients, in-place clipping,
+and checkpoint loads that read straight into the arena."""
+
+import json
+import os
+
+import numpy as np
+import pytest
+
+from fgmae import cli
+from fgmae import data as D
+from fgmae import evaluate as E
+from fgmae import optim as O
+from fgmae import pretrain as P
+from fgmae import tensor as T
+from fgmae.tensor import Tensor
+from oracles import adamw_step_reference
+from test_pretrain import _dataset
+
+SHAPES = {"w1": (5, 3), "b1": (3,), "x.ln.g": (11,), "w2": (4, 4), "tok": (1, 1, 6)}
+
+
+def _params(dtype, seed=0):
+    rng = np.random.default_rng(seed)
+    return {n: Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True)
+            for n, s in SHAPES.items()}
+
+
+def _state(lr_scale=None):
+    st = O.OptimState(lr=1e-2, beta1=0.9, beta2=0.95, weight_decay=0.05)
+    st.no_decay = O.no_decay_names(SHAPES)
+    st.lr_scale = dict(lr_scale or {})
+    return st
+
+
+def _assert_same(params_a, state_a, params_b, state_b):
+    assert state_a.t == state_b.t
+    assert sorted(state_a.m) == sorted(state_b.m)
+    for name in params_a:
+        assert params_a[name].data.tobytes() == params_b[name].data.tobytes(), name
+    for name in state_a.m:
+        assert state_a.m[name].tobytes() == state_b.m[name].tobytes(), name
+        assert state_a.v[name].tobytes() == state_b.v[name].tobytes(), name
+
+
+@pytest.mark.parametrize("dtype, lr_scale, block, max_group", [
+    (np.float32, None, None, None),
+    (np.float64, None, None, None),
+    (np.float32, {"w1": 0.5625, "b1": 0.5625, "w2": 0.75}, None, None),
+    (np.float32, {"w1": 0.75}, 7, None),   # blocks of 7 split parameters
+    (np.float32, None, None, 16),          # groups of at most 16 elements
+])
+def test_arena_matches_the_per_parameter_loop(dtype, lr_scale, block,
+                                              max_group, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(O, "BLOCK", block)
+    if max_group is not None:
+        monkeypatch.setattr(O, "MAX_GROUP", max_group)
+    rng = np.random.default_rng(1)
+    got, want = _params(dtype), _params(dtype)
+    st_got, st_want = _state(lr_scale), _state(lr_scale)
+    for step in range(6):
+        # gradients passed as separate arrays, not the arena's views; "b1"
+        # has none on the first two steps and is skipped
+        grads = {n: (None if n == "b1" and step < 2
+                     else rng.standard_normal(s).astype(dtype))
+                 for n, s in SHAPES.items()}
+        O.adamw_step(got, grads, st_got, lr=1e-2 * (step + 1))
+        adamw_step_reference(want, grads, st_want, lr=1e-2 * (step + 1))
+        _assert_same(got, st_got, want, st_want)
+    assert all(p.data.dtype == dtype for p in got.values())
+    if max_group is not None:
+        # decay: w1 (15) | b1 (3) | w2 (16) | tok (6); no decay: x.ln.g (11)
+        assert [g.p.size for g in st_got.arena.groups] == [15, 3, 16, 6, 11]
+    buffers = [buf for g in st_got.arena.groups for buf in (g.p, g.m, g.v)]
+    for name, p in got.items():
+        assert any(np.shares_memory(p.data, buf) for buf in buffers), name
+        assert any(np.shares_memory(st_got.m[name], buf) for buf in buffers)
+
+
+def test_nonfinite_gradient_changes_nothing():
+    params = _params(np.float32)
+    st = _state()
+    rng = np.random.default_rng(2)
+    O.adamw_step(params, {n: rng.standard_normal(s).astype(np.float32)
+                          for n, s in SHAPES.items()}, st)
+    before = {n: p.data.copy() for n, p in params.items()}
+    moments = {n: (st.m[n].copy(), st.v[n].copy()) for n in st.m}
+    grads = {n: np.ones(s, np.float32) for n, s in SHAPES.items()}
+    # "x.ln.g" (no decay, a later group) is the first bad one in params
+    # order; "w2" (the decay group, which the arena checks first) is bad too
+    grads["x.ln.g"][3] = np.inf
+    grads["w2"][0, 0] = np.nan
+    with pytest.raises(FloatingPointError, match="'x.ln.g'"):
+        O.adamw_step(params, grads, st)
+    assert st.t == 1
+    for n, p in params.items():
+        assert p.data.tobytes() == before[n].tobytes(), n
+        assert st.m[n].tobytes() == moments[n][0].tobytes(), n
+        assert st.v[n].tobytes() == moments[n][1].tobytes(), n
+
+    with pytest.raises(FloatingPointError, match="'x.ln.g'"):
+        O.sgd_step(params, grads, lr=0.1)
+    for n, p in params.items():
+        assert p.data.tobytes() == before[n].tobytes(), n
+
+
+def test_clip_scales_gradients_in_place():
+    a = Tensor(np.zeros(3), requires_grad=True)
+    a.grad = np.array([3.0, 4.0, 0.0])
+    g = a.grad
+    T.clip_global_norm({"a": a}, 1.0)
+    assert a.grad is g
+    np.testing.assert_allclose(g, [0.6, 0.8, 0.0])
+
+
+def test_accumulation_keeps_numpy_layout():
+    # later reductions sum a gradient in memory order, so a Fortran-ordered
+    # first gradient must stay Fortran-ordered, and adding a C-ordered one
+    # must give the layout numpy gives the sum
+    x = Tensor(np.zeros((3, 4)), requires_grad=True)
+    f = np.asfortranarray(np.arange(12.0).reshape(3, 4))
+    c = np.ones((3, 4))
+    T._accum(x, f)
+    assert x.grad.strides == f.strides and x.grad is not f
+    T._accum(x, c)
+    assert x.grad.strides == (f + c).strides
+    np.testing.assert_array_equal(x.grad, f + c)
+
+
+# -- training runs ------------------------------------------------------------
+
+
+def _trainer(tmp_path, **overrides):
+    demo = os.path.join(os.path.dirname(__file__), "..", "demos",
+                        "pretrain_config.json")
+    with open(demo) as f:
+        cfg = cli._from_dict(P.PretrainConfig, {**json.load(f), **overrides})
+    manifest = _dataset(tmp_path, n_locations=8)
+    return P.Trainer(cfg, D.read_manifest(manifest), os.path.dirname(manifest))
+
+
+def _oracle(monkeypatch):
+    """The per-parameter loop, reading each gradient off its parameter."""
+    def step(params, grads, state, lr=None):
+        adamw_step_reference(params, {n: p.grad for n, p in params.items()},
+                             state, lr)
+    monkeypatch.setattr(O, "adamw_step", step)
+
+
+@pytest.mark.parametrize("grad_clip, steps", [(0.0, 60), (0.05, 20)])
+def test_demo_run_matches_the_oracle(tmp_path, monkeypatch, grad_clip, steps):
+    got = _trainer(tmp_path / "a", grad_clip=grad_clip)
+    got.run(out_dir=str(tmp_path / "a" / "run"), max_steps=steps)
+    with monkeypatch.context() as mp:
+        _oracle(mp)
+        want = _trainer(tmp_path / "b", grad_clip=grad_clip)
+        want.run(out_dir=str(tmp_path / "b" / "run"), max_steps=steps)
+    assert got.loss_log == want.loss_log
+    _assert_same(got.model.params, got.opt, want.model.params, want.opt)
+    for d in ("checkpoint", ""):
+        a, b = tmp_path / "a" / "run" / d, tmp_path / "b" / "run" / d
+        names = sorted(n for n in os.listdir(a) if os.path.isfile(a / n))
+        assert names == sorted(n for n in os.listdir(b) if os.path.isfile(b / n))
+        for n in names:
+            assert (a / n).read_bytes() == (b / n).read_bytes(), n
+
+
+def test_step_zero_checkpoint_has_no_moments(tmp_path):
+    trainer = _trainer(tmp_path)
+    trainer.save(str(tmp_path / "ckpt"))
+    files = os.listdir(tmp_path / "ckpt")
+    assert not [f for f in files if f.startswith(("m__", "v__"))]
+    with open(tmp_path / "ckpt" / "index.json") as f:
+        assert json.load(f)["optimizer"]["has_moments"] == []
+
+
+def test_load_reads_into_the_arena(tmp_path):
+    trainer = _trainer(tmp_path)
+    for _ in range(2):
+        trainer.train_step()
+    trainer.save(str(tmp_path / "ckpt"))
+    resumed = P.Trainer.load(str(tmp_path / "ckpt"), trainer.entries,
+                             trainer.data_dir)
+    groups = resumed.opt.arena.groups
+    for name, p in resumed.model.params.items():
+        assert any(np.shares_memory(p.data, g.p) for g in groups), name
+        assert any(np.shares_memory(resumed.opt.m[name], g.m) for g in groups)
+        assert p.data.tobytes() == trainer.model.params[name].data.tobytes()
+    resumed.train_step()
+    trainer.train_step()
+    for name, p in resumed.model.params.items():
+        # the step's gradients landed in the arena and nothing was rebound
+        assert any(np.shares_memory(p.grad, g.g) for g in groups), name
+        assert p.data.tobytes() == trainer.model.params[name].data.tobytes()
+
+
+def test_load_model_reads_no_moments(tmp_path, monkeypatch):
+    trainer = _trainer(tmp_path)
+    trainer.train_step()
+    trainer.save(str(tmp_path / "ckpt"))
+    read = []
+    original = D.read_tensor
+
+    def counting(path, *args, **kwargs):
+        read.append(os.path.basename(path))
+        return original(path, *args, **kwargs)
+    monkeypatch.setattr(D, "read_tensor", counting)
+    model = P.load_model(str(tmp_path / "ckpt"))
+    assert sorted(read) == sorted(f"param__{n}.fgmr" for n in model.params)
+    for name, p in model.params.items():
+        assert p.data.tobytes() == trainer.model.params[name].data.tobytes()
+
+
+def test_fine_tune_steps_encoder_and_classifier_only(tmp_path, monkeypatch):
+    trainer = _trainer(tmp_path)
+    trainer.train_step()
+    trainer.save(str(tmp_path / "ckpt"))
+    pcfg = E.ProbeConfig(task="singlelabel", epochs=1, batch_size=8, lr=1e-3,
+                         weight_decay=0.05, mixup_alpha=0.8, eval_every_n=4)
+    seen = []
+    step = O.adamw_step
+
+    def recording(params, grads, state, lr=None):
+        seen.append((sorted(params), [n for n, g in grads.items() if g is None]))
+        step(params, grads, state, lr)
+    monkeypatch.setattr(O, "adamw_step", recording)
+    got = P.load_model(str(tmp_path / "ckpt"))
+    report = E.fine_tune(got, trainer.entries, trainer.data_dir, pcfg)
+    names = sorted(["clf.w", "clf.b"] + [n for n in got.params
+                                          if n.startswith(("embed.", "enc."))])
+    assert seen and all(s == (names, []) for s in seen)
+
+    _oracle(monkeypatch)
+    want = P.load_model(str(tmp_path / "ckpt"))
+    expected = E.fine_tune(want, trainer.entries, trainer.data_dir, pcfg)
+    assert report.values == expected.values
+    assert E.params_digest(got.params) == E.params_digest(want.params)
