@@ -52,9 +52,8 @@ print(f"dense SIFT: {sift.shape}  (B, grid points, 128)")
 # -- per-patch training targets as the pretrainer sees them ------------------
 
 spec = F.FeatureSpec("hog", hog=F.HogParams(cell_size=4))
-tt = F.assemble_targets(sar[None], spec, patch_size=8)
-print(f"HOG targets per 8x8 patch: {tt.values.shape}  "
-      f"(normalized={tt.normalized})")
+targets = F.assemble_targets(sar[None], spec, patch_size=8)
+print(f"HOG targets per 8x8 patch: {targets['hog'].shape}")
 
 D.write_ppm(os.path.join(OUT, "sar_scene.ppm"), render_sar_composite(sar))
 print(f"previews written to {OUT}/")

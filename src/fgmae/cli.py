@@ -46,37 +46,15 @@ def _fail(kind, message, code):
 
 
 # ---------------------------------------------------------------------------
-# config parsing with unknown-key rejection
+# configs
 
 
-def _from_dict(cls, d, path="config"):
-    if not isinstance(d, dict):
-        _fail("config", f"{path} must be an object", EXIT_CONFIG)
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(d) - set(fields)
-    if unknown:
-        _fail("config", f"unknown key(s) {sorted(unknown)} in {path}", EXIT_CONFIG)
-    kwargs = {}
-    for name, value in d.items():
-        ftype = fields[name].type
-        if isinstance(value, dict) and name in _NESTED.get(cls, {}):
-            kwargs[name] = _from_dict(_NESTED[cls][name], value, f"{path}.{name}")
-        elif name in ("head_weights", "adam_betas") and isinstance(value, list):
-            kwargs[name] = tuple(value)
-        else:
-            kwargs[name] = value
+def _config(build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ValueError exits as a config error."""
     try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        _fail("config", f"invalid {path}: {exc}", EXIT_CONFIG)
-
-
-_NESTED = {
-    P.PretrainConfig: {"model": M.ModelConfig, "feature": F.FeatureSpec,
-                       "augment": D.AugmentationConfig},
-    F.FeatureSpec: {"hog": F.HogParams, "canny": F.CannyParams,
-                    "sift": F.SiftParams, "bands": F.BandMap},
-}
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        _fail("config", str(exc), EXIT_CONFIG)
 
 
 def _load_json(path):
@@ -151,7 +129,7 @@ def cmd_extract(args):
 def _pretrain_config(args):
     raw = _load_json(args.config)
     manifest = raw.pop("manifest", None)
-    cfg = _from_dict(P.PretrainConfig, raw)
+    cfg = _config(P.from_dict, P.PretrainConfig, raw)
     if getattr(args, "manifest", None):
         manifest = args.manifest
     if manifest is None:
@@ -161,10 +139,8 @@ def _pretrain_config(args):
         overrides["seed"] = args.seed
     if getattr(args, "epochs", None) is not None:
         overrides["epochs"] = args.epochs
-    if getattr(args, "deterministic", False):
-        overrides["deterministic"] = True
     if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
+        cfg = _config(dataclasses.replace, cfg, **overrides)
         print(f"flag overrides: {overrides}", file=sys.stderr)
     return cfg, manifest
 
@@ -185,7 +161,7 @@ def cmd_pretrain(args):
 
 def _probe_setup(args):
     raw = _load_json(args.config)
-    pcfg = _from_dict(E.ProbeConfig, raw)
+    pcfg = _config(P.from_dict, E.ProbeConfig, raw)
     if getattr(args, "seed", None) is not None:
         pcfg = dataclasses.replace(pcfg, seed=args.seed)
         print(f"flag overrides: seed={args.seed}", file=sys.stderr)
@@ -235,14 +211,13 @@ def cmd_ablate(args):
     raw.pop("manifest", None)
     if not spec_names:
         _fail("config", "ablation config needs a 'specs' list", EXIT_CONFIG)
-    base_cfg = _from_dict(P.PretrainConfig, raw)
-    probe_cfg = _from_dict(E.ProbeConfig, probe_raw)
+    base_cfg = _config(P.from_dict, P.PretrainConfig, raw)
+    probe_cfg = _config(P.from_dict, E.ProbeConfig, probe_raw, "config.probe")
     specs = []
     for name in spec_names:
-        try:
-            specs.append(dataclasses.replace(base_cfg.feature, variant=name))
-        except ValueError as exc:
-            _fail("config", str(exc), EXIT_CONFIG)
+        spec = _config(dataclasses.replace, base_cfg.feature, variant=name)
+        _config(dataclasses.replace, base_cfg, feature=spec)  # checks the arm
+        specs.append(spec)
     print(f"config_digest={base_cfg.digest()}")
     try:
         rows = E.feature_ablation_study(base_cfg, specs, seeds, args.manifest,
@@ -290,18 +265,18 @@ def cmd_render(args):
         image = image[None]
     if args.mode == "sar":
         rgb = M.render_sar_composite(image)[0]
-    elif args.mode in ("ndi", "hog"):
+    else:  # ndi or hog: a reconstruction by one of the checkpoint's heads
         if not args.checkpoint:
             _fail("config", f"--checkpoint required for mode {args.mode}",
                   EXIT_CONFIG)
         try:
             model, _, _, _, run_cfg, _ = P.load_checkpoint(args.checkpoint,
                                                             moments=False)
-        except (OSError, P.CheckpointError, D.ContainerError) as exc:
+            run_cfg = P.from_dict(P.PretrainConfig, run_cfg)
+        except (OSError, P.CheckpointError, D.ContainerError, ValueError) as exc:
             _fail("io", str(exc), EXIT_IO)
-        if (args.mode == "hog"
-                and run_cfg["feature"]["variant"] not in ("hog", "hog+ndi")):
-            _fail("feature", "checkpoint head does not predict HOG",
+        if args.mode not in model.heads:
+            _fail("feature", f"checkpoint has no {args.mode} head",
                   EXIT_GEOMETRY)
         cfg = model.config
         if image.shape[-1] != cfg.image_size:
@@ -312,28 +287,21 @@ def cmd_render(args):
         plan = M.random_masking_plan(image.shape[0], cfg.n_patches,
                                      cfg.mask_ratio, gen)
         with no_grad():
-            pred = model.forward(Tensor(image.astype(np.float32)), plan)
+            pred = model.forward(Tensor(image.astype(np.float32)), plan)[args.mode]
         if args.mode == "ndi":
-            ndi_pred = pred[1] if isinstance(pred, tuple) else pred
-            if ndi_pred.shape[-1] != cfg.patch_size ** 2 * 3:
-                _fail("feature", "checkpoint head does not predict NDI",
-                      EXIT_GEOMETRY)
-            rgb = M.render_ndi_false_color(ndi_pred, cfg.image_size,
+            rgb = M.render_ndi_false_color(pred, cfg.image_size,
                                            cfg.patch_size)[0]
         else:
-            hog_pred = pred[0] if isinstance(pred, tuple) else pred
-            hog = F.HogParams(**run_cfg["feature"]["hog"])
+            hog = run_cfg.feature.hog
             cells = cfg.patch_size // hog.cell_size
             nb = hog.n_bins
-            c = hog_pred.shape[-1] // (cells * cells * nb)
+            c = pred.shape[-1] // (cells * cells * nb)
             grid = cfg.grid
-            arr = hog_pred.data.reshape(image.shape[0], grid, grid, c,
-                                        cells, cells, nb)
+            arr = pred.data.reshape(image.shape[0], grid, grid, c,
+                                    cells, cells, nb)
             field = arr[0].transpose(2, 0, 3, 1, 4, 5).reshape(
                 c, grid * cells, grid * cells, nb)
             rgb = M.render_hog_glyphs(np.clip(field[0], 0.0, None))
-    else:
-        _fail("config", f"unknown render mode {args.mode!r}", EXIT_CONFIG)
     try:
         D.write_ppm(args.out, rgb)
     except OSError as exc:
@@ -349,8 +317,6 @@ def cmd_render(args):
 def build_parser():
     parser = argparse.ArgumentParser(prog="fgmae",
                                      description="masked-feature pretraining toolkit")
-    parser.add_argument("--deterministic", action="store_true",
-                        help="force single-threaded deterministic execution")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")

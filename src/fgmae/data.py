@@ -318,7 +318,6 @@ class AugmentationConfig:
     scale_max: float = 1.0
     out_size: int = 224
     hflip_prob: float = 0.5
-    mixup_alpha: float = 0.0     # fine-tune only
 
     def __post_init__(self):
         if not (0.0 < self.scale_min <= self.scale_max <= 1.0):

@@ -128,10 +128,11 @@ def metric_miou(pred_mask, label_mask, n_classes, ignore_index=None):
 
 @dataclass
 class ProbeConfig:
+    """A linear probe (SGD on a frozen encoder) or a fine-tune (AdamW)."""
+
     task: str = "singlelabel"        # or "multilabel"
     epochs: int = 20
     batch_size: int = 8
-    optimizer: str = "sgd"           # "adamw" for fine-tuning
     lr: float = 0.1
     weight_decay: float = 0.0
     layer_decay: float = 0.75        # fine-tune only
@@ -163,13 +164,10 @@ def _labels_for(entries, task, n_classes):
     return out
 
 
-def _prepare_image(image, model_cfg):
-    image = D.zero_pad_channels(image, model_cfg.in_channels)
-    return image
-
-
 def _eval_view(image, model_cfg):
-    """Deterministic center view: plain bilinear resize to the model size."""
+    """Deterministic center view: channels zero-padded to the model's, then
+    a plain bilinear resize to the model size."""
+    image = D.zero_pad_channels(image, model_cfg.in_channels)
     return D._bilinear_resize(image, model_cfg.image_size,
                               model_cfg.image_size).astype(np.float32)
 
@@ -201,9 +199,8 @@ def _evaluate_classifier(model, clf, entries, data_dir, pcfg, n_classes):
     labels = _labels_for(entries, pcfg.task, n_classes)
     for i in range(0, len(entries), pcfg.batch_size):
         chunk = entries[i:i + pcfg.batch_size]
-        imgs = [_eval_view(_prepare_image(
-            D.read_tensor(os.path.join(data_dir, e.path)), model.config), model.config)
-            for e in chunk]
+        imgs = [_eval_view(D.read_tensor(os.path.join(data_dir, e.path)),
+                           model.config) for e in chunk]
         with T.no_grad():
             feats = model.encoder_features(Tensor(np.stack(imgs)))
             logits = T.matmul(feats, clf["clf.w"]) + clf["clf.b"]
@@ -257,8 +254,8 @@ def _train_classifier(model, entries, data_dir, pcfg, n_classes, trainable_encod
             imgs = []
             for j, i in enumerate(idx):
                 gen = rng.child("sample").at(step * pcfg.batch_size + j)
-                img = _prepare_image(D.read_tensor(
-                    os.path.join(data_dir, entries[i].path)), model.config)
+                img = D.read_tensor(os.path.join(data_dir, entries[i].path))
+                img = D.zero_pad_channels(img, model.config.in_channels)
                 img = D.random_resized_crop(img, aug, gen)
                 img = D.horizontal_flip(img, aug.hflip_prob, gen)
                 imgs.append(img)
@@ -320,7 +317,6 @@ def linear_probe_train(model, entries, data_dir, pcfg):
 
 def fine_tune(model, entries, data_dir, pcfg):
     """End-to-end fine-tuning with AdamW, layer-wise lr decay and mixup."""
-    pcfg = replace(pcfg, optimizer="adamw")
     n_classes = D.SAR_CLASSES if pcfg.task == "singlelabel" else D.MS_CLASSES
     train, held = _split_entries(entries, pcfg.eval_every_n)
     clf = _train_classifier(model, train, data_dir, pcfg, n_classes,

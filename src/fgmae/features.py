@@ -92,37 +92,26 @@ class FeatureSpec:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown feature variant {self.variant!r}")
 
-    @property
-    def dual_head(self):
-        return self.variant == "hog+ndi"
+    def heads(self, channels, patch_size):
+        """Head name -> per-patch target width for the given image geometry,
+        one head per descriptor in order; a ValueError when the geometry
+        does not suit a descriptor."""
+        return {name: self._width(name, channels, patch_size)
+                for name in self.variant.split("+")}
 
-    def out_dims(self, channels, patch_size):
-        """Per-patch target width(s) for the given image geometry."""
-        if self.variant in ("raw", "canny"):
+    def _width(self, name, channels, patch_size):
+        if name in ("raw", "canny"):
             return patch_size * patch_size * channels
-        if self.variant == "ndi":
+        if name == "ndi":
+            self.bands.validate(channels)
             return patch_size * patch_size * 3
-        if self.variant == "hog":
-            return hog_patch_dims(channels, patch_size, self.hog)
-        if self.variant == "sift":
-            return sift_patch_dims(patch_size, self.sift)
-        # hog+ndi: pair (hog_dims, ndi_dims)
-        return (hog_patch_dims(channels, patch_size, self.hog),
-                patch_size * patch_size * 3)
-
-
-def hog_patch_dims(channels, patch_size, p):
-    if patch_size % p.cell_size != 0:
-        raise ValueError("patch size must be divisible by HOG cell size")
-    cells = patch_size // p.cell_size
-    return channels * cells * cells * p.n_bins
-
-
-def sift_patch_dims(patch_size, p):
-    if patch_size % p.stride != 0:
-        raise ValueError("patch size must be divisible by SIFT grid stride")
-    slots = patch_size // p.stride
-    return slots * slots * p.dims
+        if name == "hog":
+            if patch_size % self.hog.cell_size:
+                raise ValueError("patch size must be divisible by HOG cell size")
+            return channels * (patch_size // self.hog.cell_size) ** 2 * self.hog.n_bins
+        if patch_size % self.sift.stride:
+            raise ValueError("patch size must be divisible by SIFT grid stride")
+        return (patch_size // self.sift.stride) ** 2 * self.sift.dims
 
 
 # ---------------------------------------------------------------------------
@@ -393,38 +382,27 @@ def _per_patch_normalize(patches, eps=1e-6):
     return (patches - mu) / (sd + eps)
 
 
-@dataclass
-class TargetTensor:
-    """Per-patch flattened reconstruction targets."""
-
-    values: np.ndarray  # (B, L, K_out)
-    normalized: bool
-
-
 def assemble_targets(image, spec, patch_size):
-    """Targets for one batch; ``hog+ndi`` yields a (hog, ndi) pair."""
+    """Targets for one batch: head name -> (B, L, width) array, in the
+    spec's head order."""
     image = _check_image(image)
-    if spec.variant == "raw":
-        return TargetTensor(_per_patch_normalize(patchify_array(image, patch_size)), True)
-    if spec.variant == "canny":
-        edges = compute_canny(image, spec.canny)
-        return TargetTensor(_per_patch_normalize(patchify_array(edges, patch_size)), True)
-    if spec.variant == "ndi":
-        return _ndi_targets(image, spec, patch_size)
-    if spec.variant == "hog":
-        return _hog_targets(image, spec, patch_size)
-    if spec.variant == "sift":
-        return _sift_targets(image, spec, patch_size)
-    if spec.variant == "hog+ndi":
-        return (_hog_targets(image, spec, patch_size),
-                _ndi_targets(image, spec, patch_size))
-    raise ValueError(f"unknown feature variant {spec.variant!r}")
+    return {name: _TARGETS[name](image, spec, patch_size)
+            for name in spec.variant.split("+")}
+
+
+def _raw_targets(image, spec, patch_size):
+    return _per_patch_normalize(patchify_array(image, patch_size))
+
+
+def _canny_targets(image, spec, patch_size):
+    edges = compute_canny(image, spec.canny)
+    return _per_patch_normalize(patchify_array(edges, patch_size))
 
 
 def _ndi_targets(image, spec, patch_size):
     ndi = compute_ndi(image, spec.bands)
     # already bounded in [-1, 1]; no per-patch normalization
-    return TargetTensor(patchify_array(ndi, patch_size), False)
+    return patchify_array(ndi, patch_size)
 
 
 def _hog_targets(image, spec, patch_size):
@@ -435,7 +413,7 @@ def _hog_targets(image, spec, patch_size):
     x = hist.reshape(b, c, gh, cells, gw, cells, nb)
     # per patch: channel-major, then cell rows, cell cols, bins
     x = x.transpose(0, 2, 4, 1, 3, 5, 6)
-    return TargetTensor(x.reshape(b, gh * gw, c * cells * cells * nb), False)
+    return x.reshape(b, gh * gw, c * cells * cells * nb)
 
 
 def _sift_targets(image, spec, patch_size):
@@ -464,4 +442,8 @@ def _sift_targets(image, spec, patch_size):
                         slot = (sr * slots + sc)
                         g = iy * len(xs) + ix
                         out[:, patch, slot * p.dims:(slot + 1) * p.dims] = descr[:, g]
-    return TargetTensor(out, False)
+    return out
+
+
+_TARGETS = {"raw": _raw_targets, "canny": _canny_targets, "ndi": _ndi_targets,
+            "hog": _hog_targets, "sift": _sift_targets}

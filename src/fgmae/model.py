@@ -2,8 +2,9 @@
 
 Asymmetric encoder/decoder: only visible patches enter the encoder, a
 lightweight decoder fills in mask tokens and predicts per-patch feature
-vectors through one linear head (or two parallel heads for the
-spatial+spectral combination). The L2 loss counts masked patches only.
+vectors through one linear head per target descriptor (two parallel heads
+for the spatial+spectral combination). The L2 loss counts masked patches
+only.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ class ModelConfig:
     dec_depth: int = 2
     dec_heads: int = 8
     mask_ratio: float = 0.7
-    out_dims: int = 768          # single head width
-    out_dims_2: int = 0          # second head width (dual heads when > 0)
 
     def __post_init__(self):
         if self.image_size % self.patch_size:
@@ -56,10 +55,6 @@ class ModelConfig:
     @property
     def n_patches(self):
         return self.grid * self.grid
-
-    @property
-    def dual_head(self):
-        return self.out_dims_2 > 0
 
     @classmethod
     def preset(cls, name, **overrides):
@@ -164,27 +159,32 @@ def patchify(x, patch_size):
     return T.reshape(x, b, gh * gw, c * patch_size * patch_size)
 
 
-def unpatchify(x, channels, h, w, patch_size):
-    b, l, _ = x.shape
-    gh, gw = h // patch_size, w // patch_size
-    x = T.reshape(x, b, gh, gw, channels, patch_size, patch_size)
-    x = T.transpose(x, (0, 3, 1, 4, 2, 5))
-    return T.reshape(x, b, channels, h, w)
-
-
 # ---------------------------------------------------------------------------
 # model
 
 
 class FgMae:
     """The full network. Parameters live in ``self.params`` (name -> Tensor)
-    so optimizers and checkpoints can treat them uniformly."""
+    so optimizers and checkpoints can treat them uniformly; ``heads`` maps
+    each head's name to its output width, in order. Parameters are drawn
+    from ``generator``, or ``params`` (e.g. read from a checkpoint) are
+    adopted as they are."""
 
-    def __init__(self, config, generator, dtype=np.float32):
+    def __init__(self, config, heads, generator=None, dtype=np.float32,
+                 params=None):
         self.config = config
+        self.heads = dict(heads)
+        # head.w / head.b for the first head, head.<name>.w / .b after it
+        self.head_prefixes = {name: "head" if i == 0 else f"head.{name}"
+                              for i, name in enumerate(self.heads)}
         self.dtype = dtype
-        self.params = {}
         c = config
+        self.enc_pos = sincos_pos_embed(c.enc_width, c.grid).astype(dtype)
+        self.dec_pos = sincos_pos_embed(c.dec_width, c.grid).astype(dtype)
+        if params is not None:
+            self.params = params
+            return
+        self.params = {}
         in_dim = c.patch_size * c.patch_size * c.in_channels
         self._add("embed.w", trunc_normal(generator, (in_dim, c.enc_width)))
         self._add("embed.b", np.zeros(c.enc_width))
@@ -201,14 +201,10 @@ class FgMae:
         self._add("dec.norm.g", np.ones(c.dec_width))
         self._add("dec.norm.b", np.zeros(c.dec_width))
 
-        self._add("head.w", trunc_normal(generator, (c.dec_width, c.out_dims)))
-        self._add("head.b", np.zeros(c.out_dims))
-        if c.dual_head:
-            self._add("head2.w", trunc_normal(generator, (c.dec_width, c.out_dims_2)))
-            self._add("head2.b", np.zeros(c.out_dims_2))
-
-        self.enc_pos = sincos_pos_embed(c.enc_width, c.grid).astype(dtype)
-        self.dec_pos = sincos_pos_embed(c.dec_width, c.grid).astype(dtype)
+        for name, prefix in self.head_prefixes.items():
+            width = self.heads[name]
+            self._add(f"{prefix}.w", trunc_normal(generator, (c.dec_width, width)))
+            self._add(f"{prefix}.b", np.zeros(width))
 
     def _add(self, name, value):
         self.params[name] = Tensor(np.asarray(value, dtype=self.dtype), requires_grad=True)
@@ -293,12 +289,10 @@ class FgMae:
         return T.layer_norm(x, p["dec.norm.g"], p["dec.norm.b"])
 
     def predict_heads(self, decoded):
-        """Linear head(s) over all L patch slots."""
+        """Each linear head over all L patch slots: name -> (B, L, width)."""
         p = self.params
-        first = T.matmul(decoded, p["head.w"]) + p["head.b"]
-        if not self.config.dual_head:
-            return first
-        return first, T.matmul(decoded, p["head2.w"]) + p["head2.b"]
+        return {name: T.matmul(decoded, p[f"{prefix}.w"]) + p[f"{prefix}.b"]
+                for name, prefix in self.head_prefixes.items()}
 
     def forward(self, image, plan):
         return self.predict_heads(self.decode(self.encode(image, plan), plan))
@@ -309,21 +303,30 @@ class FgMae:
         return T.tmean(self.encode(image, plan), axis=1)
 
 
-def masked_l2_loss(pred, target, plan, head_weights=(1.0, 1.0)):
-    """Mean squared error over masked patches only.
+def masked_l2_loss(pred, target, plan, head_weights=None):
+    """Sum over heads, in ``pred``'s order, of weight x the head's mean
+    squared error over masked patches only.
 
-    ``pred``/``target`` may each be a (hog, ndi) pair for dual heads; the two
-    losses are then combined with ``head_weights``.
+    ``pred`` and ``target`` map head name -> (B, L, width); ``head_weights``
+    maps head name -> weight, 1.0 where absent. A weight of 1.0 adds no
+    tape node.
     """
-    if isinstance(pred, tuple):
-        l1 = masked_l2_loss(pred[0], target[0], plan)
-        l2 = masked_l2_loss(pred[1], target[1], plan)
-        return l1 * head_weights[0] + l2 * head_weights[1]
+    weights = head_weights or {}
+    total = None
+    for name, head_pred in pred.items():
+        loss = _masked_mse(head_pred, target[name], plan)
+        weight = weights.get(name, 1.0)
+        if weight != 1.0:
+            loss = loss * weight
+        total = loss if total is None else total + loss
+    return total
+
+
+def _masked_mse(pred, target, plan):
     if plan.n_mask == 0:
         raise ValueError("empty mask set: nothing to reconstruct")
-    values = target.values if hasattr(target, "values") else target
     pred_masked = T.gather_tokens(pred, plan.ids_mask)
-    tgt = np.take_along_axis(np.asarray(values),
+    tgt = np.take_along_axis(np.asarray(target),
                              plan.ids_mask[:, :, None], axis=1)
     diff = pred_masked - Tensor(tgt.astype(pred.data.dtype))
     return T.tmean(diff * diff)

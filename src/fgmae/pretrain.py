@@ -3,11 +3,12 @@ with linear warmup + cosine decay, and bit-exact checkpointing.
 
 All randomness is derived from (seed, consumer name, step), so a run can be
 checkpointed and resumed bitwise and two runs with the same config are
-identical in deterministic mode.
+identical.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -48,10 +49,10 @@ class PretrainConfig:
     warmup_epochs: int = 10
     weight_decay: float = 0.05
     adam_betas: tuple = (0.9, 0.95)
-    head_weights: tuple = (1.0, 1.0)
+    # head name -> loss weight, 1.0 for a head not named
+    head_weights: dict = field(default_factory=dict)
     grad_clip: float = 0.0       # 0 disables clipping
     seed: int = 0
-    deterministic: bool = True
     checkpoint_interval: int = 0  # steps; 0 = only final
 
     def __post_init__(self):
@@ -59,24 +60,50 @@ class PretrainConfig:
             raise ValueError("batch size must be >= 1")
         if self.warmup_epochs > self.epochs:
             raise ValueError("warmup cannot exceed total epochs")
+        if self.augment.out_size != self.model.image_size:
+            raise ValueError("augmentation output size must match the model "
+                             "image size")
+        heads = self.heads  # checks the feature spec against the model
+        if not isinstance(self.head_weights, dict):
+            raise ValueError("head_weights must map head names to weights")
+        unknown = set(self.head_weights) - set(heads)
+        if unknown:
+            raise ValueError(f"head_weights name(s) {sorted(unknown)} not among "
+                             f"the run's heads {list(heads)}")
+
+    @property
+    def heads(self):
+        """Head name -> per-patch target width, in order."""
+        return self.feature.heads(self.model.in_channels, self.model.patch_size)
 
     def digest(self):
-        blob = json.dumps(config_to_dict(self), sort_keys=True).encode()
+        blob = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def config_to_dict(cfg):
-    d = asdict(cfg)
-    d["feature"]["variant"] = cfg.feature.variant
-    return d
-
-
-def _resolve_head_dims(cfg):
-    """Fill the model head width(s) from the feature spec if left at 0."""
-    dims = cfg.feature.out_dims(cfg.model.in_channels, cfg.model.patch_size)
-    if isinstance(dims, tuple):
-        return cfg.model.with_(out_dims=dims[0], out_dims_2=dims[1])
-    return cfg.model.with_(out_dims=dims, out_dims_2=0)
+def from_dict(cls, d, path="config"):
+    """Build config dataclass ``cls`` from a JSON-style dict, with the nested
+    blocks its fields' default factories name. Keys left out keep their
+    defaults; an unknown key or an invalid value is a ValueError naming
+    where it sits."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{path} must be an object")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(d) - set(fields)
+    if unknown:
+        raise ValueError(f"unknown key(s) {sorted(unknown)} in {path}")
+    kwargs = {}
+    for name, value in d.items():
+        f = fields[name]
+        if dataclasses.is_dataclass(f.default_factory):
+            value = from_dict(f.default_factory, value, f"{path}.{name}")
+        elif isinstance(f.default, tuple) and isinstance(value, list):
+            value = tuple(value)
+        kwargs[name] = value
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"invalid {path}: {exc}") from None
 
 
 class Trainer:
@@ -88,18 +115,14 @@ class Trainer:
 
     def __init__(self, cfg, entries, data_dir, model=None, opt=None):
         self.cfg = cfg
-        self.model_cfg = _resolve_head_dims(cfg)
         self.entries = entries
         self.data_dir = data_dir
         self.locations = D.locations(entries)
         if not self.locations:
             raise ValueError("empty manifest")
-        if cfg.augment.out_size != self.model_cfg.image_size:
-            raise ValueError("augmentation output size must match the model "
-                             "image size")
         self.rng = Rng(cfg.seed)
         if model is None:
-            model = M.FgMae(self.model_cfg, self.rng.child("init").at(0))
+            model = M.FgMae(cfg.model, cfg.heads, self.rng.child("init").at(0))
         self.model = model
         if opt is None:
             opt = O.OptimState(lr=cfg.base_lr, beta1=cfg.adam_betas[0],
@@ -151,9 +174,9 @@ class Trainer:
         cfg = self.cfg
         step = self.step
         batch = self._batch_for_step(step)
-        target = F.assemble_targets(batch, cfg.feature, self.model_cfg.patch_size)
-        plan = M.random_masking_plan(batch.shape[0], self.model_cfg.n_patches,
-                                     self.model_cfg.mask_ratio,
+        target = F.assemble_targets(batch, cfg.feature, cfg.model.patch_size)
+        plan = M.random_masking_plan(batch.shape[0], cfg.model.n_patches,
+                                     cfg.model.mask_ratio,
                                      self.rng.child("mask").at(step))
         self.model.zero_grad()
         pred = self.model.forward(Tensor(batch), plan)
@@ -194,9 +217,9 @@ class Trainer:
 
     @classmethod
     def load(cls, path, entries, data_dir, cfg=None):
-        model, opt, step, loss_log, stored_cfg_dict, _ = load_checkpoint(path, cfg)
+        model, opt, step, loss_log, stored_cfg, _ = load_checkpoint(path, cfg)
         if cfg is None:
-            cfg = config_from_dict(stored_cfg_dict)
+            cfg = from_dict(PretrainConfig, stored_cfg)
         trainer = cls(cfg, entries, data_dir, model=model, opt=opt)
         trainer.step = step
         trainer.loss_log = list(loss_log)
@@ -220,28 +243,16 @@ def write_loss_log(path, loss_log, digest=""):
             f.write(f"{step},{lr!r},{loss!r}\n")
 
 
-def read_loss_log(path):
-    """Returns (rows, config_digest)."""
-    rows = []
-    digest = ""
-    with open(path) as f:
-        for line in f:
-            if line.startswith("# config_digest="):
-                digest = line.strip().split("=", 1)[1]
-                continue
-            if line.startswith("#") or line.startswith("step,"):
-                continue
-            step, lr, loss = line.strip().split(",")
-            rows.append((int(step), float(lr), float(loss)))
-    return rows, digest
-
-
 # ---------------------------------------------------------------------------
 # checkpoint serialization
 
 
 class CheckpointError(Exception):
     pass
+
+
+FORMAT = "fgmae-checkpoint-v2"
+_OPTIM_KEYS = ("lr", "beta1", "beta2", "eps", "weight_decay", "t")
 
 
 def save_checkpoint(path, model, opt, step, loss_log, cfg):
@@ -257,15 +268,14 @@ def save_checkpoint(path, model, opt, step, loss_log, cfg):
             if name in store:
                 D.write_tensor(os.path.join(path, f"{kind}__{name}.fgmr"), store[name])
     index = {
-        "format": "fgmae-checkpoint-v1",
+        "format": FORMAT,
         "step": step,
         "config_digest": cfg.digest(),
-        "config": config_to_dict(cfg),
+        "config": asdict(cfg),
         "model_config": asdict(model.config),
+        "heads": model.heads,
         "names": names,
-        "optimizer": {"t": opt.t, "lr": opt.lr, "beta1": opt.beta1,
-                      "beta2": opt.beta2, "eps": opt.eps,
-                      "weight_decay": opt.weight_decay,
+        "optimizer": {**{k: getattr(opt, k) for k in _OPTIM_KEYS},
                       "has_moments": sorted(opt.m)},
         "loss_log": [[s, lr, lo] for s, lr, lo in loss_log],
     }
@@ -281,43 +291,53 @@ def load_checkpoint(path, cfg=None, moments=True):
     Each parameter and moment payload is read straight into its view of a
     fresh optimizer arena. With ``moments=False`` only the index and the
     parameters are read, into plain arrays, and the optimizer state is
-    None. A missing file is a CheckpointError naming the parameter, a
-    payload whose shape or dtype does not match the index a ContainerError
-    naming its file; a config-digest mismatch only warns.
+    None. An index.json that is missing, malformed, of another format or
+    short of a key is a CheckpointError, and so is a missing file, which
+    names its parameter; a payload whose shape or dtype does not match the
+    index is a ContainerError naming its file. A config-digest mismatch
+    only warns.
     """
-    index_path = os.path.join(path, "index.json")
-    if not os.path.exists(index_path):
-        raise CheckpointError(f"no index.json under {path}")
-    with open(index_path) as f:
-        index = json.load(f)
-    if cfg is not None and cfg.digest() != index["config_digest"]:
-        warnings.warn(f"checkpoint config digest {index['config_digest']} does not "
+    try:
+        with open(os.path.join(path, "index.json")) as f:
+            index = json.load(f)
+    except FileNotFoundError:
+        raise CheckpointError(f"no index.json under {path}") from None
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"malformed index.json under {path}: {exc}") from None
+    fmt = index.get("format") if isinstance(index, dict) else None
+    if fmt != FORMAT:
+        raise CheckpointError(f"checkpoint under {path} has format {fmt!r}, "
+                              f"not {FORMAT}")
+    try:
+        params = {name: Tensor(np.empty(shape, np.float32), requires_grad=True)
+                  for name, shape in index["names"].items()}
+        model = M.FgMae(from_dict(M.ModelConfig, index["model_config"]),
+                        index["heads"], params=params)
+        opt_args = {k: index["optimizer"][k] for k in _OPTIM_KEYS}
+        has_moments = index["optimizer"]["has_moments"]
+        step = int(index["step"])
+        loss_log = [(int(s), float(lr), float(lo)) for s, lr, lo in index["loss_log"]]
+        digest = index["config_digest"]
+        stored_cfg = index["config"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"invalid index.json under {path}: {exc!r}") from None
+    if cfg is not None and cfg.digest() != digest:
+        warnings.warn(f"checkpoint config digest {digest} does not "
                       f"match the supplied config {cfg.digest()}", stacklevel=2)
-    model_cfg = M.ModelConfig(**index["model_config"])
-    model = M.FgMae.__new__(M.FgMae)
-    model.config = model_cfg
-    model.dtype = np.float32
-    model.params = {name: Tensor(np.empty(shape, np.float32), requires_grad=True)
-                    for name, shape in index["names"].items()}
-    model.enc_pos = M.sincos_pos_embed(model_cfg.enc_width, model_cfg.grid).astype(np.float32)
-    model.dec_pos = M.sincos_pos_embed(model_cfg.dec_width, model_cfg.grid).astype(np.float32)
-    oi = index["optimizer"]
     opt = None
     if moments:
-        opt = O.OptimState(lr=oi["lr"], beta1=oi["beta1"], beta2=oi["beta2"],
-                           eps=oi["eps"], weight_decay=oi["weight_decay"], t=oi["t"])
+        opt = O.OptimState(**opt_args)
         opt.no_decay = O.no_decay_names(model.params)
         opt.arena = O.ParamArena(model.params, opt, copy=False)
     for name, p in model.params.items():
         _read_into(path, f"param__{name}.fgmr", p.data, "tensor", name)
-    for name in oi["has_moments"] if moments else ():
+    for name in has_moments if moments else ():
         if name not in opt.arena.views:
             raise CheckpointError(f"moments for unknown parameter {name!r}")
         for kind, store, view in zip("mv", (opt.m, opt.v), opt.arena.views[name][2:]):
             store[name] = _read_into(path, f"{kind}__{name}.fgmr", view,
                                      f"{kind} moment", name)
-    loss_log = [(int(s), float(lr), float(lo)) for s, lr, lo in index["loss_log"]]
-    return model, opt, int(index["step"]), loss_log, index["config"], index
+    return model, opt, step, loss_log, stored_cfg, index
 
 
 def _read_into(path, fname, out, what, name):
@@ -332,19 +352,3 @@ def load_model(path):
     """Just the model from a checkpoint directory: the index and the
     parameters, no optimizer moments."""
     return load_checkpoint(path, moments=False)[0]
-
-
-def config_from_dict(d):
-    model = M.ModelConfig(**d["model"])
-    feat = d["feature"]
-    feature = F.FeatureSpec(variant=feat["variant"],
-                            hog=F.HogParams(**feat["hog"]),
-                            canny=F.CannyParams(**feat["canny"]),
-                            sift=F.SiftParams(**feat["sift"]),
-                            bands=F.BandMap(**feat["bands"]))
-    augment = D.AugmentationConfig(**d["augment"])
-    rest = {k: v for k, v in d.items() if k not in ("model", "feature", "augment")}
-    for key in ("head_weights", "adam_betas"):
-        if isinstance(rest.get(key), list):
-            rest[key] = tuple(rest[key])
-    return PretrainConfig(model=model, feature=feature, augment=augment, **rest)

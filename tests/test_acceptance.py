@@ -115,10 +115,9 @@ def test_criterion_3_autodiff_soundness():
     cfg = M.ModelConfig(image_size=16, patch_size=8, in_channels=2,
                         enc_width=16, enc_depth=1, enc_heads=2,
                         dec_width=16, dec_depth=1, dec_heads=2,
-                        mask_ratio=0.5,
-                        out_dims=F.FeatureSpec(
-                            "hog", hog=F.HogParams(cell_size=4)).out_dims(2, 8))
-    model = M.FgMae(cfg, Rng(0).child("init").at(0), dtype=np.float64)
+                        mask_ratio=0.5)
+    model = M.FgMae(cfg, F.FeatureSpec("hog", hog=F.HogParams(cell_size=4))
+                    .heads(2, 8), Rng(0).child("init").at(0), dtype=np.float64)
     img = gen.random((2, 2, 16, 16))
     target = F.assemble_targets(img, F.FeatureSpec("hog",
                                                    hog=F.HogParams(cell_size=4)), 8)
@@ -159,18 +158,21 @@ def test_criterion_4_masked_loss_contract():
                   dtype=np.float64)
     target = gen.random((2, 16, 12))
     plan = M.random_masking_plan(2, 16, 0.7, gen)
-    base = M.masked_l2_loss(pred, target, plan).item()
+    def loss(tgt):
+        return M.masked_l2_loss({"hog": pred}, {"hog": tgt}, plan).item()
+
+    base = loss(target)
     # visible-patch targets are irrelevant, bit for bit
     t2 = target.copy()
     for b in range(2):
         t2[b, plan.ids_keep[b]] = -1e6
-    assert M.masked_l2_loss(pred, t2, plan).item() == base
+    assert loss(t2) == base
     # constant offset delta on masked entries -> loss exactly delta^2
     delta = 0.73
     t3 = target.copy()
     for b in range(2):
         t3[b, plan.ids_mask[b]] = pred.data[b, plan.ids_mask[b]] + delta
-    assert abs(M.masked_l2_loss(pred, t3, plan).item() - delta ** 2) < 1e-9
+    assert abs(loss(t3) - delta ** 2) < 1e-9
     # floor rule for the keep count on 20 pairs
     pairs = [(196, 0.7, 58), (196, 0.75, 49), (16, 0.7, 4), (64, 0.5, 32),
              (100, 0.8, 19), (7, 0.5, 3), (9, 0.33, 6), (10, 0.15, 8),
@@ -197,8 +199,7 @@ def test_criterion_5_determinism(tmp_path):
         feature=F.FeatureSpec("hog", hog=F.HogParams(cell_size=4)),
         augment=D.AugmentationConfig(scale_min=0.5, scale_max=1.0,
                                      out_size=32),
-        epochs=4, batch_size=2, base_lr=1e-3, warmup_epochs=1, seed=11,
-        deterministic=True)
+        epochs=4, batch_size=2, base_lr=1e-3, warmup_epochs=1, seed=11)
     r1 = P.pretrain_run(cfg, manifest, str(tmp_path / "r1"))
     r2 = P.pretrain_run(cfg, manifest, str(tmp_path / "r2"))
     assert r1.loss_log == r2.loss_log
@@ -234,9 +235,9 @@ def test_criterion_6_overfit_sanity():
     cfg = M.ModelConfig(image_size=32, patch_size=8, in_channels=2,
                         enc_width=64, enc_depth=2, enc_heads=4,
                         dec_width=128, dec_depth=2, dec_heads=4,
-                        mask_ratio=0.7, out_dims=spec.out_dims(2, 8))
+                        mask_ratio=0.7)
     rng = Rng(0)
-    model = M.FgMae(cfg, rng.child("init").at(0))
+    model = M.FgMae(cfg, spec.heads(2, 8), rng.child("init").at(0))
     target = F.assemble_targets(imgs, spec, 8)
     opt = O.OptimState(lr=3e-3, beta2=0.95, weight_decay=0.0)
     opt.no_decay = {n for n in model.params
@@ -279,8 +280,7 @@ def test_criterion_7_probe_ordering(tmp_path):
         weight_decay=0.05, seed=0)
     specs = [F.FeatureSpec("hog", hog=F.HogParams(cell_size=4)),
              F.FeatureSpec("raw")]
-    pcfg = E.ProbeConfig(task="singlelabel", epochs=30, batch_size=8,
-                         optimizer="sgd", lr=0.1)
+    pcfg = E.ProbeConfig(task="singlelabel", epochs=30, batch_size=8, lr=0.1)
     rows = E.feature_ablation_study(base, specs, [0, 1, 2], manifest,
                                     str(tmp_path / "work"), pcfg,
                                     include_random_init=True)
@@ -342,13 +342,13 @@ def test_criterion_9_preset_scaling():
     counts = []
     for name in ("vit-s", "vit-b", "vit-l", "vit-h"):
         cfg = M.ModelConfig.preset(name, image_size=32, patch_size=8,
-                                   in_channels=2, mask_ratio=0.7, out_dims=16)
-        model = M.FgMae(cfg, Rng(0).child("init").at(0))
+                                   in_channels=2, mask_ratio=0.7)
+        model = M.FgMae(cfg, {"hog": 16}, Rng(0).child("init").at(0))
         img = Tensor(np.random.default_rng(0)
                      .random((1, 2, 32, 32)).astype(np.float32))
         plan = M.random_masking_plan(1, cfg.n_patches, 0.7,
                                      np.random.default_rng(1))
-        out = model.forward(img, plan)
+        out = model.forward(img, plan)["hog"]
         assert out.shape == (1, cfg.n_patches, 16)
         counts.append(model.n_parameters())
         del model

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -26,12 +27,21 @@ def sar_dataset(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def ms_dataset(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("cli_ms") / "data")
+    D.synthesize_dataset(out, "MS", n_locations=2, seed=4, looks=1, size=32)
+    return out
+
+
+_MODEL = {"image_size": 32, "patch_size": 8, "in_channels": 2,
+          "enc_width": 32, "enc_depth": 1, "enc_heads": 4,
+          "dec_width": 32, "dec_depth": 1, "dec_heads": 4, "mask_ratio": 0.7}
+
+
 def _pretrain_config(tmp_path, manifest, **overrides):
     cfg = {
-        "model": {"image_size": 32, "patch_size": 8, "in_channels": 2,
-                  "enc_width": 32, "enc_depth": 1, "enc_heads": 4,
-                  "dec_width": 32, "dec_depth": 1, "dec_heads": 4,
-                  "mask_ratio": 0.7},
+        "model": _MODEL,
         "feature": {"variant": "hog", "hog": {"cell_size": 4}},
         "augment": {"scale_min": 0.5, "scale_max": 1.0, "out_size": 32},
         "epochs": 2, "batch_size": 2, "base_lr": 1e-3, "warmup_epochs": 1,
@@ -193,6 +203,56 @@ class TestPretrain:
             assert err.startswith("error[loss]")
 
 
+class TestConfigChecks:
+    """A config that contradicts itself is one error[config] line, exit 2,
+    before any training starts."""
+
+    CASES = {"out-size": ({"augment": {"out_size": 64}},
+                          "augmentation output size"),
+             "hog-cell": ({"feature": {"variant": "hog", "hog": {"cell_size": 3}}},
+                          "HOG cell size"),
+             "ndi-on-2-bands": ({"feature": {"variant": "hog+ndi"}}, "band map")}
+
+    def _assert_config_error(self, argv, match, capsys):
+        code, _, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("error[config]") and len(err.splitlines()) == 1
+        assert match in err
+
+    @pytest.mark.parametrize("command", ["pretrain", "ablate"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_inconsistent_config_exits_config(self, tmp_path, capsys,
+                                              sar_dataset, command, case):
+        overrides, match = self.CASES[case]
+        manifest = os.path.join(sar_dataset, "manifest.csv")
+        if command == "ablate":
+            overrides = {**overrides, "specs": ["hog", "raw"], "seeds": [0]}
+        cfg = _pretrain_config(tmp_path, manifest, **overrides)
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+        if command == "ablate":
+            argv += ["--manifest", manifest]
+        self._assert_config_error(argv, match, capsys)
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_inconsistent_ablation_arm_exits_config(self, tmp_path, capsys,
+                                                    sar_dataset):
+        manifest = os.path.join(sar_dataset, "manifest.csv")
+        cfg = _pretrain_config(tmp_path, manifest, specs=["hog", "hog+ndi"],
+                               seeds=[0])
+        self._assert_config_error(["ablate", "--config", cfg, "--manifest",
+                                   manifest, "--out", str(tmp_path / "out")],
+                                  "band map", capsys)
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_unknown_head_weight_exits_config(self, tmp_path, capsys,
+                                              sar_dataset):
+        cfg = _pretrain_config(tmp_path, os.path.join(sar_dataset, "manifest.csv"),
+                               head_weights={"ndi": 0.5})
+        self._assert_config_error(["pretrain", "--config", cfg,
+                                   "--out", str(tmp_path / "out")],
+                                  "ndi", capsys)
+
+
 class TestProbeCommand:
     def test_probe_after_pretrain(self, tmp_path, capsys, sar_dataset):
         manifest = os.path.join(sar_dataset, "manifest.csv")
@@ -221,6 +281,80 @@ class TestProbeCommand:
                                 os.path.join(sar_dataset, "manifest.csv")],
                                capsys)
         assert code == cli.EXIT_IO
+
+
+class TestCheckpointIndex:
+    """A checkpoint whose index.json is of another format, cut short or
+    short of a key is one error[io] line, exit 3."""
+
+    @pytest.mark.parametrize("command", ["probe", "finetune", "render"])
+    @pytest.mark.parametrize("damage", ["v0", "truncated", "missing-key"])
+    def test_bad_index_exits_io(self, tmp_path, capsys, sar_dataset,
+                                demo_checkpoint, command, damage):
+        ckpt = str(tmp_path / "ckpt")
+        shutil.copytree(demo_checkpoint, ckpt)
+        path = os.path.join(ckpt, "index.json")
+        text = open(path).read()
+        index = json.loads(text)
+        if damage == "v0":
+            text = json.dumps({**index, "format": "fgmae-checkpoint-v0"})
+        elif damage == "missing-key":
+            text = json.dumps({k: v for k, v in index.items() if k != "names"})
+        else:
+            text = text[:len(text) // 2]
+        open(path, "w").write(text)
+        manifest = os.path.join(sar_dataset, "manifest.csv")
+        if command == "render":
+            scene = D.read_manifest(manifest)[0]
+            argv = ["render", "--mode", "hog", "--out", str(tmp_path / "o.ppm"),
+                    "--in", os.path.join(sar_dataset, scene.path)]
+        else:
+            probe_cfg = str(tmp_path / "probe.json")
+            json.dump({"task": "singlelabel", "epochs": 1, "batch_size": 4},
+                      open(probe_cfg, "w"))
+            argv = [command, "--config", probe_cfg, "--manifest", manifest]
+        code, _, err = run_cli(argv + ["--checkpoint", ckpt], capsys)
+        assert code == cli.EXIT_IO
+        assert err.startswith("error[io]") and len(err.splitlines()) == 1
+
+
+class TestDualHeadRender:
+    """hog+ndi is the only run whose second head is read at inference."""
+
+    def test_renders_both_heads(self, tmp_path, capsys, ms_dataset):
+        manifest = os.path.join(ms_dataset, "manifest.csv")
+        cfg = _pretrain_config(tmp_path, manifest, epochs=1, warmup_epochs=0,
+                               model={**_MODEL, "in_channels": 13},
+                               feature={"variant": "hog+ndi",
+                                        "hog": {"cell_size": 4}},
+                               head_weights={"hog": 2.0, "ndi": 0.5})
+        out = str(tmp_path / "run")
+        assert cli.main(["pretrain", "--config", cfg, "--out", out]) == 0
+        scene = os.path.join(ms_dataset, D.read_manifest(manifest)[0].path)
+        # NDI: a 32x32 false-colour image; HOG: 8x8 cells of 16 px glyphs
+        for mode, header, size in (("ndi", b"P6\n32 32\n255\n", 3 * 32 * 32),
+                                   ("hog", b"P5\n128 128\n255\n", 128 * 128)):
+            renders = []
+            for k in range(2):
+                dst = str(tmp_path / f"{mode}{k}.ppm")
+                code, _, _ = run_cli(["render", "--mode", mode, "--in", scene,
+                                      "--out", dst, "--checkpoint",
+                                      os.path.join(out, "checkpoint")], capsys)
+                assert code == 0
+                renders.append(open(dst, "rb").read())
+            assert renders[0].startswith(header)
+            assert len(renders[0]) == len(header) + size
+            assert renders[0] == renders[1]
+
+    def test_ndi_from_hog_only_checkpoint_is_feature_error(
+            self, tmp_path, capsys, ms_dataset, demo_checkpoint):
+        scene = D.read_manifest(os.path.join(ms_dataset, "manifest.csv"))[0]
+        code, _, err = run_cli(["render", "--mode", "ndi",
+                                "--in", os.path.join(ms_dataset, scene.path),
+                                "--out", str(tmp_path / "ndi.ppm"),
+                                "--checkpoint", demo_checkpoint], capsys)
+        assert code == cli.EXIT_GEOMETRY
+        assert err.startswith("error[feature]")
 
 
 class TestMetricsCommand:

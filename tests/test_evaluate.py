@@ -144,8 +144,7 @@ class TestProbePlumbing:
 
     def test_layer_decay_scales(self):
         cfg = M.ModelConfig(image_size=32, patch_size=8, in_channels=2,
-                            enc_width=32, enc_depth=3, enc_heads=4,
-                            out_dims=16)
+                            enc_width=32, enc_depth=3, enc_heads=4)
         scales = E.layer_decay_scales(cfg, 0.5)
         # embedding below block 0, head at 1.0
         assert scales["embed.w"] == 0.5 ** 4
@@ -155,10 +154,9 @@ class TestProbePlumbing:
 
     def test_params_digest_sensitivity(self):
         cfg = M.ModelConfig(image_size=16, patch_size=8, in_channels=2,
-                            enc_width=32, enc_depth=1, enc_heads=4,
-                            out_dims=8)
-        m1 = M.FgMae(cfg, Rng(0).child("init").at(0))
-        m2 = M.FgMae(cfg, Rng(0).child("init").at(0))
+                            enc_width=32, enc_depth=1, enc_heads=4)
+        m1 = M.FgMae(cfg, {"hog": 8}, Rng(0).child("init").at(0))
+        m2 = M.FgMae(cfg, {"hog": 8}, Rng(0).child("init").at(0))
         assert E.params_digest(m1.params) == E.params_digest(m2.params)
         m2.params["embed.b"].data[0] += 1e-6
         assert E.params_digest(m1.params) != E.params_digest(m2.params)
@@ -182,8 +180,8 @@ class TestProbeTraining:
         cfg = M.ModelConfig(image_size=32, patch_size=8, in_channels=2,
                             enc_width=32, enc_depth=1, enc_heads=4,
                             dec_width=32, dec_depth=1, dec_heads=4,
-                            mask_ratio=0.7, out_dims=16)
-        return M.FgMae(cfg, Rng(3).child("init").at(0))
+                            mask_ratio=0.7)
+        return M.FgMae(cfg, {"hog": 16}, Rng(3).child("init").at(0))
 
     def test_linear_probe_runs_and_freezes_encoder(self, dataset):
         manifest, data_dir = dataset
@@ -202,7 +200,7 @@ class TestProbeTraining:
         model = self._model()
         before = E.params_digest(model.params)
         pcfg = E.ProbeConfig(task="singlelabel", epochs=1, batch_size=4,
-                             optimizer="adamw", lr=1e-3, layer_decay=0.75,
+                             lr=1e-3, layer_decay=0.75,
                              seed=0)
         report = E.fine_tune(model, entries, data_dir, pcfg)
         assert E.params_digest(model.params) != before

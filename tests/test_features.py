@@ -191,18 +191,26 @@ class TestPatching:
 
 class TestFeatureSpec:
     def test_out_dims_raw(self):
-        assert FeatureSpec("raw").out_dims(2, 8) == 8 * 8 * 2
+        assert FeatureSpec("raw").heads(2, 8) == {"raw": 8 * 8 * 2}
 
     def test_out_dims_hog(self):
         # patch 8 / cell 4 -> 2x2 cells x 9 bins per channel
-        assert FeatureSpec("hog", hog=HogParams(cell_size=4)).out_dims(2, 8) \
-            == 2 * 2 * 2 * 9
+        assert FeatureSpec("hog", hog=HogParams(cell_size=4)).heads(2, 8) \
+            == {"hog": 2 * 2 * 2 * 9}
 
     def test_out_dims_dual_head(self):
-        spec = FeatureSpec("hog+ndi")
-        dims = spec.out_dims(13, 8)
-        assert isinstance(dims, tuple) and len(dims) == 2
-        assert spec.dual_head
+        heads = FeatureSpec("hog+ndi").heads(13, 8)
+        assert list(heads.items()) == [("hog", 13 * 9), ("ndi", 8 * 8 * 3)]
+
+    @pytest.mark.parametrize("spec, channels", [
+        (FeatureSpec("hog", hog=HogParams(cell_size=3)), 2),
+        (FeatureSpec("sift", sift=SiftParams(stride=3, support=12,
+                                             spatial_bins=4)), 2),
+        (FeatureSpec("hog+ndi"), 2),
+        (FeatureSpec("ndi"), 4)])
+    def test_heads_reject_geometry_misfit(self, spec, channels):
+        with pytest.raises(ValueError):
+            spec.heads(channels, 8)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
@@ -212,20 +220,20 @@ class TestFeatureSpec:
         img = _img(60, 2, 32, 32)
         for variant in ("raw", "hog", "canny", "sift"):
             spec = FeatureSpec(variant, hog=HogParams(cell_size=4))
-            tt = F.assemble_targets(img, spec, 8)
-            assert tt.values.shape == (1, 16, spec.out_dims(2, 8))
+            targets = F.assemble_targets(img, spec, 8)
+            assert {k: v.shape for k, v in targets.items()} == \
+                {variant: (1, 16, spec.heads(2, 8)[variant])}
 
     def test_assemble_targets_dual(self):
         img = _img(61, 13, 32, 32)
         spec = FeatureSpec("hog+ndi", hog=HogParams(cell_size=4))
-        main, aux = F.assemble_targets(img, spec, 8)
-        d1, d2 = spec.out_dims(13, 8)
-        assert main.values.shape == (1, 16, d1)
-        assert aux.values.shape == (1, 16, d2)
+        targets = F.assemble_targets(img, spec, 8)
+        assert list(targets) == ["hog", "ndi"]
+        for name, width in spec.heads(13, 8).items():
+            assert targets[name].shape == (1, 16, width)
 
     def test_ndi_targets_match_direct_computation(self):
         img = _img(62, 13, 16, 16)
-        tt = F.assemble_targets(img, FeatureSpec("ndi"), 8)
+        targets = F.assemble_targets(img, FeatureSpec("ndi"), 8)
         direct = F.patchify_array(F.compute_ndi(img), 8)
-        assert not tt.normalized
-        np.testing.assert_allclose(tt.values, direct, atol=1e-6)
+        np.testing.assert_allclose(targets["ndi"], direct, atol=1e-6)

@@ -16,11 +16,17 @@ from oracles import trunc_normal_reference
 TINY = M.ModelConfig(image_size=32, patch_size=8, in_channels=2,
                      enc_width=64, enc_depth=2, enc_heads=4,
                      dec_width=32, dec_depth=1, dec_heads=4,
-                     mask_ratio=0.7, out_dims=128)
+                     mask_ratio=0.7)
+HOG = {"hog": 128}
 
 
-def _model(cfg=TINY, seed=0):
-    return M.FgMae(cfg, Rng(seed).child("init").at(0))
+def _model(cfg=TINY, seed=0, heads=HOG):
+    return M.FgMae(cfg, heads, Rng(seed).child("init").at(0))
+
+
+def _loss(pred, target, plan):
+    """The masked loss of a lone head."""
+    return M.masked_l2_loss({"x": pred}, {"x": target}, plan)
 
 
 class TestMasking:
@@ -105,7 +111,8 @@ class TestForward:
                                                      dtype=np.float64))
         plan = M.random_masking_plan(2, 16, 0.7, np.random.default_rng(1))
         out = model.forward(img, plan)
-        assert out.shape == (2, 16, 128)
+        assert list(out) == ["hog"] and out["hog"].shape == (2, 16, 128)
+        assert {"head.w", "head.b"} <= set(model.params)
 
     def test_encoder_sees_only_kept_tokens(self):
         model = _model()
@@ -119,22 +126,23 @@ class TestForward:
         gen = np.random.default_rng(4)
         img = gen.random((1, 2, 32, 32))
         plan = M.random_masking_plan(1, 16, 0.7, np.random.default_rng(5))
-        out1 = model.forward(Tensor(img), plan).data
+        out1 = model.forward(Tensor(img), plan)["hog"].data
         # scribble over one masked patch
         pid = int(plan.ids_mask[0, 0])
         r, c = divmod(pid, 4)
         img2 = img.copy()
         img2[0, :, r * 8:(r + 1) * 8, c * 8:(c + 1) * 8] = gen.random((2, 8, 8))
-        out2 = model.forward(Tensor(img2), plan).data
+        out2 = model.forward(Tensor(img2), plan)["hog"].data
         np.testing.assert_allclose(out1, out2, atol=1e-6)
 
     def test_dual_head_output(self):
-        cfg = TINY.with_(in_channels=13, out_dims=72, out_dims_2=192)
-        model = _model(cfg)
+        model = _model(TINY.with_(in_channels=13), heads={"hog": 72, "ndi": 192})
         img = Tensor(np.random.default_rng(6).random((1, 13, 32, 32)))
         plan = M.random_masking_plan(1, 16, 0.7, np.random.default_rng(7))
-        a, b = model.forward(img, plan)
-        assert a.shape == (1, 16, 72) and b.shape == (1, 16, 192)
+        out = model.forward(img, plan)
+        assert list(out) == ["hog", "ndi"]
+        assert out["hog"].shape == (1, 16, 72) and out["ndi"].shape == (1, 16, 192)
+        assert {"head.w", "head.b", "head.ndi.w", "head.ndi.b"} <= set(model.params)
 
     def test_encoder_features_shape(self):
         model = _model()
@@ -164,7 +172,7 @@ class TestForward:
     def test_unpatchify_roundtrip(self):
         img = np.random.default_rng(10).random((1, 2, 16, 16))
         p = M.patchify(Tensor(img), 4)
-        back = M.unpatchify(p, 2, 16, 16, 4).data
+        back = F.unpatchify_array(p.data, 2, 16, 16, 4)
         np.testing.assert_allclose(back, img, atol=1e-12)
 
 
@@ -179,11 +187,11 @@ class TestMaskedLoss:
 
     def test_visible_targets_do_not_matter(self):
         pred, target, plan = self._setup()
-        base = M.masked_l2_loss(pred, target, plan).item()
+        base = _loss(pred, target, plan).item()
         t2 = target.copy()
         for b in range(2):
             t2[b, plan.ids_keep[b]] = 999.0
-        again = M.masked_l2_loss(pred, t2, plan).item()
+        again = _loss(pred, t2, plan).item()
         assert base == again
 
     def test_constant_offset_gives_delta_squared(self):
@@ -192,17 +200,17 @@ class TestMaskedLoss:
         t2 = np.asarray(target, dtype=np.float64).copy()
         for b in range(2):
             t2[b, plan.ids_mask[b]] = pred.data[b, plan.ids_mask[b]] + delta
-        loss = M.masked_l2_loss(pred, t2, plan).item()
+        loss = _loss(pred, t2, plan).item()
         assert abs(loss - delta ** 2) < 1e-9
 
     def test_empty_mask_rejected(self):
         pred, target, _ = self._setup(2)
         with pytest.raises(ValueError):
-            M.masked_l2_loss(pred, target, M.identity_plan(2, 16))
+            _loss(pred, target, M.identity_plan(2, 16))
 
     def test_gradient_zero_on_visible(self):
         pred, target, plan = self._setup(3)
-        M.masked_l2_loss(pred, target, plan).backward()
+        _loss(pred, target, plan).backward()
         for b in range(2):
             assert np.abs(pred.grad[b, plan.ids_keep[b]]).max() == 0.0
             assert np.abs(pred.grad[b, plan.ids_mask[b]]).max() > 0.0
@@ -213,11 +221,23 @@ class TestMaskedLoss:
         p2 = Tensor(gen.random((1, 16, 6)))
         t1, t2 = gen.random((1, 16, 4)), gen.random((1, 16, 6))
         plan = M.random_masking_plan(1, 16, 0.7, gen)
-        l1 = M.masked_l2_loss(p1, t1, plan).item()
-        l2 = M.masked_l2_loss(p2, t2, plan).item()
-        both = M.masked_l2_loss((p1, p2), (t1, t2), plan,
-                                head_weights=(2.0, 0.5)).item()
+        l1 = _loss(p1, t1, plan).item()
+        l2 = _loss(p2, t2, plan).item()
+        pred, target = {"hog": p1, "ndi": p2}, {"hog": t1, "ndi": t2}
+        both = M.masked_l2_loss(pred, target, plan,
+                                head_weights={"hog": 2.0, "ndi": 0.5}).item()
         np.testing.assert_allclose(both, 2.0 * l1 + 0.5 * l2, rtol=1e-6)
+        # a head left out of the weights counts once
+        half = M.masked_l2_loss(pred, target, plan,
+                                head_weights={"ndi": 0.5}).item()
+        np.testing.assert_allclose(half, l1 + 0.5 * l2, rtol=1e-6)
+
+    def test_lone_head_weight_one_is_its_loss_bitwise(self):
+        pred, target, plan = self._setup(5)
+        alone = _loss(pred, target, plan)
+        weighted = M.masked_l2_loss({"hog": pred}, {"hog": target}, plan,
+                                    head_weights={"hog": 1.0})
+        assert weighted.data.tobytes() == alone.data.tobytes()
 
 
 class TestPresets:
@@ -230,12 +250,12 @@ class TestPresets:
     def test_small_preset_constructs_and_runs(self):
         # the full S/B/L/H construction sweep lives in the acceptance suite
         cfg = M.ModelConfig.preset("vit-s", image_size=32, patch_size=8,
-                                   in_channels=2, out_dims=16)
-        model = _model(cfg)
+                                   in_channels=2)
+        model = _model(cfg, heads={"hog": 16})
         img = Tensor(np.random.default_rng(0).random((1, 2, 32, 32)))
         plan = M.random_masking_plan(1, cfg.n_patches, 0.7,
                                      np.random.default_rng(1))
-        out = model.forward(Tensor(img.data.astype(np.float32)), plan)
+        out = model.forward(Tensor(img.data.astype(np.float32)), plan)["hog"]
         assert out.shape == (1, cfg.n_patches, 16)
         assert model.n_parameters() > 0
 

@@ -8,7 +8,6 @@ import os
 import numpy as np
 import pytest
 
-from fgmae import cli
 from fgmae import data as D
 from fgmae import evaluate as E
 from fgmae import optim as O
@@ -136,7 +135,7 @@ def _trainer(tmp_path, **overrides):
     demo = os.path.join(os.path.dirname(__file__), "..", "demos",
                         "pretrain_config.json")
     with open(demo) as f:
-        cfg = cli._from_dict(P.PretrainConfig, {**json.load(f), **overrides})
+        cfg = P.from_dict(P.PretrainConfig, {**json.load(f), **overrides})
     manifest = _dataset(tmp_path, n_locations=8)
     return P.Trainer(cfg, D.read_manifest(manifest), os.path.dirname(manifest))
 

@@ -1,15 +1,18 @@
 """Pretraining loop: determinism, checkpoint transparency, loss logging and
 failure modes."""
 
+import dataclasses
 import gc
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fgmae import cli
 from fgmae import data as D
+from fgmae import evaluate as E
 from fgmae import features as F
 from fgmae import model as M
 from fgmae import pretrain as P
@@ -39,6 +42,73 @@ def _cfg(**kw):
     return P.PretrainConfig(**base)
 
 
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_UNIT = st.floats(0.0, 1.0, exclude_max=True)
+
+
+@st.composite
+def _pretrain_configs(draw):
+    """Any valid PretrainConfig: the geometry of every block fits the model."""
+    patch = draw(st.sampled_from([4, 8, 16]))
+    channels = draw(st.integers(1, 13))
+    enc_heads, dec_heads = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    model = M.ModelConfig(
+        image_size=patch * draw(st.integers(1, 4)), patch_size=patch,
+        in_channels=channels, enc_width=enc_heads * draw(st.integers(1, 16)),
+        enc_depth=draw(st.integers(0, 3)), enc_heads=enc_heads,
+        dec_width=dec_heads * draw(st.integers(1, 16)),
+        dec_depth=draw(st.integers(0, 3)), dec_heads=dec_heads,
+        mask_ratio=draw(_UNIT))
+    variants = [v for v in F.VARIANTS if "ndi" not in v or channels >= 4]
+    bands = F.BandMap()
+    if channels >= 4:
+        bands = F.BandMap(*draw(st.permutations(range(channels)))[:4])
+    divisors = [d for d in (1, 2, 4, 8, 16) if patch % d == 0]
+    low = draw(st.floats(0.01, 0.5))
+    spatial = draw(st.integers(1, 4))
+    feature = F.FeatureSpec(
+        draw(st.sampled_from(variants)),
+        hog=F.HogParams(n_bins=draw(st.integers(2, 12)),
+                        cell_size=draw(st.sampled_from(divisors)), eps=draw(_FLOATS)),
+        canny=F.CannyParams(gaussian_sigma=draw(_FLOATS),
+                            kernel_size=draw(st.integers(1, 9)), low=low,
+                            high=draw(st.floats(low, 1.0, exclude_min=True))),
+        sift=F.SiftParams(stride=draw(st.sampled_from(divisors)),
+                          support=spatial * draw(st.integers(1, 8)),
+                          spatial_bins=spatial,
+                          orientation_bins=draw(st.integers(1, 12)),
+                          clip=draw(_FLOATS), eps=draw(_FLOATS)),
+        bands=bands)
+    scale_min = draw(st.floats(0.0, 1.0, exclude_min=True))
+    augment = D.AugmentationConfig(scale_min=scale_min,
+                                   scale_max=draw(st.floats(scale_min, 1.0)),
+                                   out_size=model.image_size,
+                                   hflip_prob=draw(_UNIT))
+    heads = feature.heads(channels, patch)
+    epochs = draw(st.integers(0, 1000))
+    return P.PretrainConfig(
+        model=model, feature=feature, augment=augment, epochs=epochs,
+        batch_size=draw(st.integers(1, 64)), base_lr=draw(_FLOATS),
+        min_lr=draw(_FLOATS), warmup_epochs=draw(st.integers(0, epochs)),
+        weight_decay=draw(_FLOATS), adam_betas=(draw(_FLOATS), draw(_FLOATS)),
+        head_weights=draw(st.dictionaries(st.sampled_from(list(heads)), _FLOATS)),
+        grad_clip=draw(_FLOATS), seed=draw(st.integers(0, 2**32)),
+        checkpoint_interval=draw(st.integers(0, 100)))
+
+
+_PROBE_CONFIGS = st.builds(
+    E.ProbeConfig, task=st.sampled_from(["singlelabel", "multilabel"]),
+    epochs=st.integers(0, 100), batch_size=st.integers(1, 64), lr=_FLOATS,
+    weight_decay=_FLOATS, layer_decay=_FLOATS, mixup_alpha=_FLOATS,
+    seed=st.integers(0, 2**32), eval_every_n=st.integers(1, 10),
+    scale_min=_FLOATS)
+_FUZZ = settings(max_examples=60, deadline=None)
+
+
+def _json_dict(cfg):
+    return json.loads(json.dumps(dataclasses.asdict(cfg)))
+
+
 class TestConfig:
     def test_digest_stable_and_sensitive(self):
         a, b = _cfg(), _cfg()
@@ -46,10 +116,59 @@ class TestConfig:
         assert a.digest() != _cfg(seed=12).digest()
         assert len(a.digest()) == 16
 
-    def test_dict_roundtrip(self):
-        cfg = _cfg()
-        back = P.config_from_dict(P.config_to_dict(cfg))
-        assert back.digest() == cfg.digest()
+    @_FUZZ
+    @given(cfg=_pretrain_configs())
+    @example(cfg=_cfg())
+    def test_dict_roundtrip(self, cfg):
+        back = P.from_dict(P.PretrainConfig, _json_dict(cfg))
+        assert back == cfg and back.digest() == cfg.digest()
+
+    @_FUZZ
+    @given(cfg=_PROBE_CONFIGS)
+    def test_probe_dict_roundtrip(self, cfg):
+        assert P.from_dict(E.ProbeConfig, _json_dict(cfg)) == cfg
+
+    @_FUZZ
+    @given(cfg=_pretrain_configs(), data=st.data())
+    def test_unknown_key_at_any_level_rejected(self, cfg, data):
+        d = _json_dict(cfg)
+        blocks = [d, d["model"], d["feature"], d["augment"],
+                  *(d["feature"][k] for k in ("hog", "canny", "sift", "bands"))]
+        blocks[data.draw(st.integers(0, len(blocks) - 1))]["bogus"] = 1
+        with pytest.raises(ValueError, match="bogus"):
+            P.from_dict(P.PretrainConfig, d)
+
+    @_FUZZ
+    @given(cfg=_PROBE_CONFIGS)
+    def test_unknown_probe_key_rejected(self, cfg):
+        with pytest.raises(ValueError, match="bogus"):
+            P.from_dict(E.ProbeConfig, {**_json_dict(cfg), "bogus": 1})
+
+    @_FUZZ
+    @given(cfg=_pretrain_configs())
+    def test_unknown_head_weight_rejected(self, cfg):
+        d = _json_dict(cfg)
+        d["head_weights"]["bogus"] = 1.0
+        with pytest.raises(ValueError, match="bogus"):
+            P.from_dict(P.PretrainConfig, d)
+
+    def test_nested_blocks_may_be_partial(self):
+        demo = os.path.join(os.path.dirname(__file__), "..", "demos",
+                            "pretrain_config.json")
+        with open(demo) as f:
+            cfg = P.from_dict(P.PretrainConfig, json.load(f))
+        assert cfg.feature.canny == F.CannyParams()
+        assert cfg.feature.hog.cell_size == 4
+
+    @pytest.mark.parametrize("overrides, match", [
+        (dict(augment=D.AugmentationConfig(out_size=64)), "augmentation output"),
+        (dict(feature=F.FeatureSpec("hog", hog=F.HogParams(cell_size=3))),
+         "HOG cell size"),
+        (dict(feature=F.FeatureSpec("hog+ndi")), "band map"),
+        (dict(head_weights={"ndi": 0.5}), "not among the run's heads")])
+    def test_config_checked_against_itself(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            _cfg(**overrides)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -57,10 +176,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             _cfg(warmup_epochs=99)
 
-    def test_head_dims_resolved_from_feature(self):
+    def test_head_dims_resolved_from_feature(self, tmp_path):
         cfg = _cfg()
-        resolved = P._resolve_head_dims(cfg)
-        assert resolved.out_dims == cfg.feature.out_dims(2, 8)
+        trainer = P.Trainer(cfg, D.read_manifest(_dataset(tmp_path)),
+                            str(tmp_path / "data"))
+        assert trainer.model.heads == cfg.feature.heads(2, 8) == {"hog": 72}
+        assert trainer.model.params["head.w"].shape == (32, 72)
 
 
 class TestDeterminism:
@@ -160,6 +281,34 @@ class TestCheckpoint:
             P.load_checkpoint(str(ckpt))
         assert victim[len("param__"):-len(".fgmr")] in str(exc.value)
 
+    @pytest.mark.parametrize("edit", [
+        lambda index: {**index, "format": "fgmae-checkpoint-v0"},
+        lambda index: {**index, "format": "fgmae-checkpoint-v1"},
+        lambda index: {k: v for k, v in index.items() if k != "heads"},
+        lambda index: {**index, "optimizer": {"t": 0}},
+        lambda index: [index]],
+        ids=["v0", "v1", "no-heads", "no-optimizer-keys", "not-an-object"])
+    def test_bad_index_is_checkpoint_error(self, tmp_path, edit):
+        manifest = _dataset(tmp_path)
+        ckpt = tmp_path / "ckpt"
+        P.Trainer(_cfg(), D.read_manifest(manifest),
+                  os.path.dirname(manifest)).save(str(ckpt))
+        index = json.loads((ckpt / "index.json").read_text())
+        assert index["format"] == P.FORMAT == "fgmae-checkpoint-v2"
+        (ckpt / "index.json").write_text(json.dumps(edit(index)))
+        with pytest.raises(P.CheckpointError):
+            P.load_checkpoint(str(ckpt))
+
+    def test_truncated_index_is_checkpoint_error(self, tmp_path):
+        manifest = _dataset(tmp_path)
+        ckpt = tmp_path / "ckpt"
+        P.Trainer(_cfg(), D.read_manifest(manifest),
+                  os.path.dirname(manifest)).save(str(ckpt))
+        text = (ckpt / "index.json").read_text()
+        (ckpt / "index.json").write_text(text[:len(text) // 2])
+        with pytest.raises(P.CheckpointError, match="malformed"):
+            P.load_checkpoint(str(ckpt))
+
     def test_load_model_helper(self, tmp_path):
         manifest = _dataset(tmp_path)
         trainer = P.pretrain_run(_cfg(), manifest, str(tmp_path / "run"))
@@ -171,7 +320,7 @@ def _demo_trainer(tmp_path):
     demo = os.path.join(os.path.dirname(__file__), "..", "demos",
                         "pretrain_config.json")
     with open(demo) as f:
-        cfg = cli._from_dict(P.PretrainConfig, json.load(f))
+        cfg = P.from_dict(P.PretrainConfig, json.load(f))
     manifest = _dataset(tmp_path, n_locations=8)
     return P.Trainer(cfg, D.read_manifest(manifest), os.path.dirname(manifest))
 
@@ -199,19 +348,28 @@ class TestTape:
         assert made[0] == 161
 
 
+def _read_loss_log(path):
+    """(rows, config digest) of a loss_log.csv."""
+    with open(path) as f:
+        digest = f.readline().strip().split("=", 1)[1]
+        assert f.readline() == "step,lr,loss\n"
+        rows = [line.strip().split(",") for line in f]
+    return [(int(s), float(lr), float(lo)) for s, lr, lo in rows], digest
+
+
 class TestLossLog:
     def test_csv_roundtrip(self, tmp_path):
         log = [(0, 0.0, 1.5), (1, 1e-4, 1.25), (2, 1.5e-4, 0.75)]
         p = str(tmp_path / "loss_log.csv")
         P.write_loss_log(p, log, "deadbeefdeadbeef")
-        back, digest = P.read_loss_log(p)
+        back, digest = _read_loss_log(p)
         assert digest == "deadbeefdeadbeef"
         assert back == log
 
     def test_written_during_run(self, tmp_path):
         manifest = _dataset(tmp_path)
         trainer = P.pretrain_run(_cfg(), manifest, str(tmp_path / "run"))
-        log, digest = P.read_loss_log(str(tmp_path / "run" / "loss_log.csv"))
+        log, digest = _read_loss_log(str(tmp_path / "run" / "loss_log.csv"))
         assert log == trainer.loss_log
         assert digest == _cfg().digest()
 
@@ -234,6 +392,6 @@ class TestFailure:
             trainer.run()
 
     def test_augment_size_must_match_model(self):
-        with pytest.raises(ValueError):
-            cfg = _cfg(augment=D.AugmentationConfig(out_size=64))
-            P.Trainer(cfg, [D.SceneEntry("a", 0, "SAR", "x.fgmr", "0")], "/tmp")
+        # caught when the config is built, before any trainer exists
+        with pytest.raises(ValueError, match="augmentation output size"):
+            _cfg(augment=D.AugmentationConfig(out_size=64))
