@@ -213,18 +213,23 @@ def adamw_step(params, grads, state, lr=None):
     c1, c2 = 1.0 - beta1, 1.0 - beta2
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
+    # One pair of scratch blocks per dtype for the whole step, as long as the
+    # longest run needs. They stay on the arena until the next step. Made
+    # after the step's tape, they keep glibc from trimming the heap top when
+    # the tape is freed; freed here, each step handed those pages back and
+    # faulted them in again (about 4,800 minor faults per 13-band demo step
+    # and 600 per checkpoint load, 0 with the blocks kept).
+    longest = {}
+    for group, runs in plan:
+        dtype = group.p.dtype
+        longest[dtype] = max([longest.get(dtype, 0), *(b - a for a, b in runs)])
+    block = BLOCK
+    arena.scratch = {dtype: np.empty((2, min(block, n)), dtype)
+                     for dtype, n in longest.items()}
     for group, runs in plan:
         wd = 0.0 if group.exempt else state.weight_decay
         step = lr * group.scale
-        block = BLOCK
-        longest = max((b - a for a, b in runs), default=0)
-        # The scratch blocks stay on the arena until the next step. Made after
-        # the step's tape, they keep glibc from trimming the heap top when
-        # the tape is freed; freed here, each step handed those pages back
-        # and faulted them in again (about 4,800 minor faults per 13-band
-        # demo step and 600 per checkpoint load, 0 with the blocks kept).
-        s1, s2 = arena.scratch = np.empty((2, min(block, longest)),
-                                          group.p.dtype)
+        s1, s2 = arena.scratch[group.p.dtype]
         for start, stop in runs:
             for a in range(start, stop, block):
                 b = min(a + block, stop)

@@ -9,6 +9,7 @@ identical.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -64,8 +65,10 @@ class PretrainConfig:
             raise ValueError("augmentation output size must match the model "
                              "image size")
         heads = self.heads  # checks the feature spec against the model
-        if not isinstance(self.head_weights, dict):
-            raise ValueError("head_weights must map head names to weights")
+        if not isinstance(self.head_weights, dict) or not all(
+                isinstance(w, (int, float)) and not isinstance(w, bool)
+                for w in self.head_weights.values()):
+            raise ValueError("head_weights must map head names to numbers")
         unknown = set(self.head_weights) - set(heads)
         if unknown:
             raise ValueError(f"head_weights name(s) {sorted(unknown)} not among "
@@ -84,26 +87,65 @@ class PretrainConfig:
 def from_dict(cls, d, path="config"):
     """Build config dataclass ``cls`` from a JSON-style dict, with the nested
     blocks its fields' default factories name. Keys left out keep their
-    defaults; an unknown key or an invalid value is a ValueError naming
-    where it sits."""
+    defaults; an unknown key, a value of the wrong type (see ``_check``)
+    or an invalid value is a ValueError naming where it sits."""
     if not isinstance(d, dict):
         raise ValueError(f"{path} must be an object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(d) - set(fields)
+    table = _fields(cls)
+    unknown = set(d) - set(table)
     if unknown:
         raise ValueError(f"unknown key(s) {sorted(unknown)} in {path}")
     kwargs = {}
     for name, value in d.items():
-        f = fields[name]
-        if dataclasses.is_dataclass(f.default_factory):
-            value = from_dict(f.default_factory, value, f"{path}.{name}")
-        elif isinstance(f.default, tuple) and isinstance(value, list):
-            value = tuple(value)
+        nested, default = table[name]
+        where = f"{path}.{name}"
+        if nested is not None:
+            value = from_dict(nested, value, where)
+        else:
+            value = _check(value, default, where)
         kwargs[name] = value
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"invalid {path}: {exc}") from None
+
+
+@functools.cache
+def _fields(cls):
+    """Field name -> (nested config class or None, default) of ``cls``,
+    built once per class."""
+    table = {}
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.default_factory):
+            table[f.name] = (f.default_factory, None)
+        elif f.default_factory is not dataclasses.MISSING:
+            table[f.name] = (None, f.default_factory())
+        else:
+            table[f.name] = (None, f.default)
+    return table
+
+
+def _check(value, default, where):
+    """``value`` if it has the type of the field's ``default``: an int passes
+    for a float, a bool for no number (no config field is a bool), and a
+    list for a tuple of the same length whose elements pass. Returns the
+    value, a list made a tuple."""
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)) or len(value) != len(default):
+            raise ValueError(f"{where} must be a list of {len(default)}, "
+                             f"got {value!r}")
+        return tuple(_check(v, dv, f"{where}[{i}]")
+                     for i, (v, dv) in enumerate(zip(value, default)))
+    if isinstance(default, int):
+        ok, kind = type(value) is int, "an integer"
+    elif isinstance(default, float):
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        kind = "a number"
+    else:
+        ok, kind = isinstance(value, type(default)), f"a {type(default).__name__}"
+    if not ok:
+        raise ValueError(f"{where} must be {kind}, got {value!r}")
+    return value
 
 
 class Trainer:

@@ -206,7 +206,8 @@ def trunc_normal_reference(generator, shape, std=0.02):
 
 # ---------------------------------------------------------------------------
 # autodiff oracles: layer_norm composed of elementwise ops and means (12 tape
-# nodes), and an index whose backward scatters with np.add.at
+# nodes), an index whose backward scatters with np.add.at, and matmul's
+# stacked weight gradient
 
 
 def layer_norm_reference(x, gamma, beta, eps=1e-6):
@@ -224,6 +225,21 @@ def getitem_reference(t, key):
             ga = np.zeros_like(a.data)
             np.add.at(ga, key, g)
             T._accum(a, ga)
+        out._backward = _bw
+    return out
+
+
+def matmul_weight_grad_reference(a, b):
+    """``a @ b`` with every gradient one batched product reduced by
+    ``_unbroadcast``: a 2-D weight's gradient under a (B, N, D) input is a
+    (B, D, E) stack summed over B."""
+    out = T._node(np.matmul(a.data, b.data), (a, b))
+    if out.requires_grad:
+        def _bw(g, a=a, b=b):
+            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+            T._accum(a, T._unbroadcast(ga, a.shape))
+            T._accum(b, T._unbroadcast(gb, b.shape))
         out._backward = _bw
     return out
 

@@ -244,6 +244,23 @@ class TestConfigChecks:
                                   "band map", capsys)
         assert not os.path.exists(tmp_path / "out")
 
+    WRONG_TYPES = {"str-for-float": ({"base_lr": "0.001"}, "config.base_lr"),
+                   "float-for-int": ({"model": {**_MODEL, "enc_depth": 2.5}},
+                                     "config.model.enc_depth"),
+                   "str-head-weight": ({"head_weights": {"hog": "2"}},
+                                       "head_weights")}
+
+    @pytest.mark.parametrize("case", list(WRONG_TYPES))
+    def test_wrong_value_type_exits_config(self, tmp_path, capsys, sar_dataset,
+                                           case):
+        overrides, match = self.WRONG_TYPES[case]
+        cfg = _pretrain_config(tmp_path, os.path.join(sar_dataset, "manifest.csv"),
+                               **overrides)
+        self._assert_config_error(["pretrain", "--config", cfg,
+                                   "--out", str(tmp_path / "out")],
+                                  match, capsys)
+        assert not os.path.exists(tmp_path / "out")
+
     def test_unknown_head_weight_exits_config(self, tmp_path, capsys,
                                               sar_dataset):
         cfg = _pretrain_config(tmp_path, os.path.join(sar_dataset, "manifest.csv"),

@@ -1,8 +1,11 @@
 """Masked-autoencoder model: masking plans, positional embeddings, forward
 shapes, preset scaling and the masked reconstruction loss contract."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fgmae import model as M
 from fgmae import features as F
@@ -59,6 +62,32 @@ class TestMasking:
         gen = np.random.default_rng(2)
         with pytest.raises(ValueError):
             M.random_masking_plan(1, 16, 1.0, gen)
+
+    @settings(max_examples=80, deadline=None)
+    @given(batch=st.integers(1, 6), n=st.integers(1, 64),
+           ratio=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_plan_invariants(self, batch, n, ratio, seed):
+        n_keep = math.floor(n * (1.0 - ratio))
+        if n_keep < 1:
+            with pytest.raises(ValueError, match="no visible patches"):
+                M.random_masking_plan(batch, n, ratio, np.random.default_rng(seed))
+            return
+        plan = M.random_masking_plan(batch, n, ratio, np.random.default_rng(seed))
+        assert plan.n_keep == n_keep == M.keep_count(n, ratio)
+        assert plan.ids_keep.shape == (batch, n_keep)
+        assert plan.ids_mask.shape == (batch, n - n_keep)
+        shuffled = np.concatenate([plan.ids_keep, plan.ids_mask], axis=1)
+        # keep and mask split each row's permutation between them
+        assert (np.sort(shuffled, axis=1) == np.arange(n)).all()
+        # ids_restore inverts the shuffle, both ways round
+        assert (np.take_along_axis(shuffled, plan.ids_restore, axis=1)
+                == np.arange(n)).all()
+        assert (np.take_along_axis(plan.ids_restore, shuffled, axis=1)
+                == np.arange(n)).all()
+        # the same generator state gives the same plan
+        again = M.random_masking_plan(batch, n, ratio, np.random.default_rng(seed))
+        for name in ("ids_keep", "ids_mask", "ids_restore"):
+            assert np.array_equal(getattr(plan, name), getattr(again, name))
 
     def test_identity_plan(self):
         plan = M.identity_plan(3, 9)

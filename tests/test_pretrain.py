@@ -152,6 +152,41 @@ class TestConfig:
         with pytest.raises(ValueError, match="bogus"):
             P.from_dict(P.PretrainConfig, d)
 
+    @_FUZZ
+    @given(cfg=_pretrain_configs(), data=st.data())
+    def test_value_of_wrong_type_rejected(self, cfg, data):
+        d = _json_dict(cfg)
+        nested = {"model", "feature", "augment", "hog", "canny", "sift", "bands"}
+        blocks = [d, d["model"], d["feature"], d["augment"],
+                  *(d["feature"][k] for k in ("hog", "canny", "sift", "bands"))]
+        leaves = [(block, key) for block in blocks for key in block
+                  if key not in nested]
+        block, key = data.draw(st.sampled_from(leaves))
+        wrong = {int: ["3", 2.5, True], float: ["0.1", True, None],
+                 str: [1, None], list: ["x", [0.9], [0.9, "x"], [0.9, False]],
+                 dict: [[], {"hog": "2"}, {"hog": True}]}[type(block[key])]
+        block[key] = data.draw(st.sampled_from(wrong))
+        with pytest.raises(ValueError, match=key):
+            P.from_dict(P.PretrainConfig, d)
+
+    @_FUZZ
+    @given(cfg=_PROBE_CONFIGS, data=st.data())
+    def test_probe_value_of_wrong_type_rejected(self, cfg, data):
+        d = _json_dict(cfg)
+        key = data.draw(st.sampled_from(sorted(d)))
+        d[key] = {int: 2.5, float: "0.1", str: 1}[type(d[key])]
+        with pytest.raises(ValueError, match=key):
+            P.from_dict(E.ProbeConfig, d)
+
+    def test_ints_pass_for_floats_and_lists_for_tuples(self):
+        d = _json_dict(_cfg())
+        d.update(base_lr=1, adam_betas=[0, 1], head_weights={"hog": 2})
+        cfg = P.from_dict(P.PretrainConfig, d)
+        assert (cfg.base_lr, cfg.adam_betas, cfg.head_weights) == (
+            1, (0, 1), {"hog": 2})
+        with pytest.raises(ValueError, match="config.adam_betas"):
+            P.from_dict(P.PretrainConfig, {**d, "adam_betas": [0.9, 0.95, 0.99]})
+
     def test_nested_blocks_may_be_partial(self):
         demo = os.path.join(os.path.dirname(__file__), "..", "demos",
                             "pretrain_config.json")

@@ -2,6 +2,9 @@
 broadcasting reductions, and optimizer / schedule arithmetic."""
 
 import gc
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +13,8 @@ from fgmae import tensor as T
 from fgmae.tensor import Tensor
 from fgmae import optim as O
 
-from oracles import getitem_reference, layer_norm_reference
+from oracles import (getitem_reference, layer_norm_reference,
+                     matmul_weight_grad_reference)
 
 
 def _fd_check(f, x, tol=1e-4):
@@ -348,3 +352,129 @@ class TestOptim:
         s = O.LrSchedule(base_lr=1e-3, min_lr=1e-5, warmup_steps=0,
                          total_steps=100)
         np.testing.assert_allclose(O.lr_at(100, s), 1e-5)
+
+
+# -- matmul's weight gradient -------------------------------------------------
+
+
+def _linear_grads(matmul, inputs, w0, c, buffer=False, input_grad=True):
+    """Gradients of sum(c * sum_i inputs[i] @ w) with ``matmul``: the inputs'
+    (None where not asked for), the weight's, and whether the weight's
+    gradient is its buffer."""
+    xs = [Tensor(x, requires_grad=input_grad) for x in inputs]
+    w = Tensor(w0.copy(), requires_grad=True)
+    if buffer:
+        w.grad_buffer = np.full_like(w0, np.nan)
+    y = None
+    for x in xs:
+        y = matmul(x, w) if y is None else y + matmul(x, w)
+    T.tsum(y * Tensor(c)).backward()
+    return [x.grad for x in xs], w.grad, w.grad is w.grad_buffer
+
+
+def _linear_case(seed, b, n, d, e, dtype, uses=1):
+    """Inputs, weight and output weights; a batch of None makes 2-D inputs."""
+    gen = np.random.default_rng(seed)
+    lead = (n,) if b is None else (b, n)
+    inputs = [gen.standard_normal(lead + (d,)).astype(dtype) for _ in range(uses)]
+    return (inputs, gen.standard_normal((d, e)).astype(dtype),
+            gen.standard_normal(lead + (e,)).astype(dtype))
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestMatmulWeightGrad:
+    """A 2-D weight's gradient is summed sample by sample, bitwise what the
+    stacked (B, D, E) product and its sum over B gave."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [None, 1, 2, 8])
+    @pytest.mark.parametrize("buffer", [False, True])
+    def test_matches_the_stacked_sum(self, batch, dtype, buffer):
+        for d, e in ((16, 24), (64, 192), (96, 32)):
+            case = _linear_case(d + (batch or 0), batch, 5, d, e, dtype)
+            gx, gw, in_buffer = _linear_grads(T.matmul, *case, buffer=buffer)
+            rx, rw, _ = _linear_grads(matmul_weight_grad_reference, *case,
+                                      buffer=buffer)
+            _assert_same_bits(gx[0], rx[0])
+            _assert_same_bits(gw, rw)
+            assert in_buffer == buffer
+
+    @pytest.mark.parametrize("buffer", [False, True])
+    def test_second_use_accumulates(self, buffer):
+        case = _linear_case(3, 4, 7, 32, 48, np.float32, uses=2)
+        gx, gw, in_buffer = _linear_grads(T.matmul, *case, buffer=buffer)
+        rx, rw, _ = _linear_grads(matmul_weight_grad_reference, *case,
+                                  buffer=buffer)
+        for got, want in zip(gx, rx):
+            _assert_same_bits(got, want)
+        _assert_same_bits(gw, rw)
+        assert in_buffer == buffer
+
+    def test_input_without_grad_gets_none(self, monkeypatch):
+        case = _linear_case(5, 2, 3, 8, 6, np.float64)
+        products = []
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda *a, **k: (
+            products.append(a[0].shape), matmul(*a, **k))[1])
+        gx, gw, _ = _linear_grads(T.matmul, *case, input_grad=False)
+        monkeypatch.undo()
+        assert gx == [None]
+        # the forward product and one per sample for the weight, none for
+        # the input
+        assert products == [(2, 3, 8), (8, 3), (8, 3)]
+        _, rw, _ = _linear_grads(matmul_weight_grad_reference, *case,
+                                 input_grad=False)
+        _assert_same_bits(gw, rw)
+
+    def test_every_openblas_kernel(self):
+        """The comparison again in a child process per OpenBLAS core type
+        this CPU can run, the variable set for that child only."""
+        core = getattr(np, "_core", None) or np.core  # numpy 2 / numpy 1
+        features = core._multiarray_umath.__cpu_features__
+        needs = {"": (), "Haswell": ("AVX2", "FMA3"), "Zen": ("AVX2", "FMA3"),
+                 "SandyBridge": ("AVX",), "Nehalem": ("SSE42",),
+                 "Katmai": ("SSE",)}
+        here = os.path.dirname(os.path.abspath(__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            [os.path.join(here, "..", "src"), here]))
+        ran = []
+        for core, flags in needs.items():
+            if not all(features.get(f) for f in flags):
+                continue
+            child_env = dict(env, OPENBLAS_CORETYPE=core)
+            if not core:
+                child_env.pop("OPENBLAS_CORETYPE")
+            out = subprocess.run([sys.executable, "-c", _KERNEL_CHECK],
+                                 env=child_env, capture_output=True, text=True,
+                                 timeout=60)
+            assert out.returncode == 0, (core, out.stderr)
+            assert out.stdout.split() == ["mismatches", "0"], (core, out.stdout)
+            ran.append(core)
+        assert "" in ran
+
+
+_KERNEL_CHECK = """
+import itertools
+import numpy as np
+from fgmae import tensor as T
+from oracles import matmul_weight_grad_reference
+
+bad = 0
+for k, (b, n, (d, e), dtype) in enumerate(itertools.product(
+        (1, 2, 9), (1, 5, 17), ((16, 24), (64, 192), (384, 96)),
+        (np.float32, np.float64))):
+    gen = np.random.default_rng(k)
+    x, w0 = gen.standard_normal((b, n, d)), gen.standard_normal((d, e))
+    c = T.Tensor(gen.standard_normal((b, n, e)), dtype=dtype)
+    grads = []
+    for matmul in (T.matmul, matmul_weight_grad_reference):
+        w = T.Tensor(w0, requires_grad=True, dtype=dtype)
+        T.tsum(matmul(T.Tensor(x, dtype=dtype), w) * c).backward()
+        grads.append(w.grad.tobytes())
+    bad += grads[0] != grads[1]
+print("mismatches", bad)
+"""
