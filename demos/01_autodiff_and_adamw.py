@@ -36,7 +36,7 @@ target = inputs @ np.array([[2.0], [-3.0]]) + 0.5
 
 params = {"w": T.Tensor(np.zeros((2, 1)), requires_grad=True),
           "b": T.Tensor(np.zeros(1), requires_grad=True)}
-state = O.OptimState(lr=0.1, weight_decay=0.0)
+opt = O.AdamW(params, lr=0.1, weight_decay=0.0)
 sched = O.LrSchedule(base_lr=0.1, min_lr=1e-3, warmup_steps=20,
                      total_steps=200)
 
@@ -44,8 +44,7 @@ for step in range(200):
     pred = T.Tensor(inputs) @ params["w"] + params["b"]
     loss = T.tmean((pred - T.Tensor(target)) ** 2)
     loss.backward()
-    grads = {k: p.grad for k, p in params.items()}
-    O.adamw_step(params, grads, state, lr=O.lr_at(step, sched))
+    O.adamw_step(opt, lr=O.lr_at(step, sched))
     for p in params.values():
         p.grad = None
     if step % 50 == 0:

@@ -152,7 +152,7 @@ def cmd_pretrain(args):
         trainer = P.pretrain_run(cfg, manifest, args.out)
     except _DIVERGED as exc:
         _fail("loss", str(exc), EXIT_DIVERGED)
-    except OSError as exc:
+    except (OSError, D.ContainerError) as exc:
         _fail("io", str(exc), EXIT_IO)
     final = trainer.loss_log[-1]
     print(f"final step={final[0]} lr={final[1]:.6e} loss={final[2]:.6f}")
@@ -209,8 +209,16 @@ def cmd_ablate(args):
     probe_raw = raw.pop("probe", {})
     include_random = raw.pop("include_random_init", False)
     raw.pop("manifest", None)
-    if not spec_names:
-        _fail("config", "ablation config needs a 'specs' list", EXIT_CONFIG)
+    if not (isinstance(spec_names, list) and spec_names
+            and all(isinstance(s, str) for s in spec_names)):
+        _fail("config", "ablation config needs 'specs', a non-empty list of "
+              f"variant names, got {spec_names!r}", EXIT_CONFIG)
+    if not (isinstance(seeds, list) and all(type(s) is int for s in seeds)):
+        _fail("config", f"'seeds' must be a list of integers, got {seeds!r}",
+              EXIT_CONFIG)
+    if not isinstance(include_random, bool):
+        _fail("config", "'include_random_init' must be true or false, got "
+              f"{include_random!r}", EXIT_CONFIG)
     base_cfg = _config(P.from_dict, P.PretrainConfig, raw)
     probe_cfg = _config(P.from_dict, E.ProbeConfig, probe_raw, "config.probe")
     specs = []
@@ -225,7 +233,7 @@ def cmd_ablate(args):
                                         include_random_init=include_random)
     except _DIVERGED as exc:
         _fail("loss", str(exc), EXIT_DIVERGED)
-    except OSError as exc:
+    except (OSError, D.ContainerError) as exc:
         _fail("io", str(exc), EXIT_IO)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "ablation.csv")

@@ -28,7 +28,7 @@ _CODE_DTYPES = {1: np.dtype(np.float32), 2: np.dtype(np.float64)}
 
 
 class ContainerError(Exception):
-    """Raised on malformed FGMR files."""
+    """Raised on a malformed FGMR file or scene manifest."""
 
 
 def write_tensor(path, array):
@@ -149,11 +149,24 @@ def write_manifest(path, entries):
 
 
 def read_manifest(path):
+    """The scene entries of a manifest. A row short of a column, a season
+    that is not an integer, or a manifest with no rows is a ContainerError
+    naming the file and the row."""
     entries = []
     with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            entries.append(SceneEntry(row["location_id"], int(row["season"]),
-                                      row["modality"], row["path"], row.get("label", "")))
+        for i, row in enumerate(csv.DictReader(f), 1):
+            missing = [k for k in MANIFEST_FIELDS[:4] if row.get(k) is None]
+            if missing:
+                raise ContainerError(f"{path}, row {i}: no {missing[0]!r} column")
+            try:
+                season = int(row["season"])
+            except ValueError:
+                raise ContainerError(f"{path}, row {i}: season {row['season']!r} "
+                                     f"is not an integer") from None
+            entries.append(SceneEntry(row["location_id"], season, row["modality"],
+                                      row["path"], row.get("label", "")))
+    if not entries:
+        raise ContainerError(f"{path} has no rows")
     return entries
 
 

@@ -144,6 +144,14 @@ class ProbeConfig:
     def __post_init__(self):
         if self.task not in ("singlelabel", "multilabel"):
             raise ValueError(f"unknown task {self.task!r}")
+        if self.batch_size < 1:
+            raise ValueError("batch size must be >= 1")
+        if self.eval_every_n < 1:
+            raise ValueError("eval_every_n must be >= 1")
+        if not 0.0 < self.scale_min <= 1.0:
+            raise ValueError("need 0 < scale_min <= 1")
+        if self.mixup_alpha < 0:
+            raise ValueError("mixup_alpha must be >= 0")
 
 
 def _split_entries(entries, every_n):
@@ -230,14 +238,14 @@ def _train_classifier(model, entries, data_dir, pcfg, n_classes, trainable_encod
         "clf.b": Tensor(np.zeros(n_classes, dtype=np.float32), requires_grad=True),
     }
     params = dict(clf)
-    opt_state = None
+    opt = None
     if trainable_encoder:
         # the encoder only: decoder, mask token and heads get no gradient
         params.update((n, p) for n, p in model.params.items()
                       if n.startswith(("embed.", "enc.")))
-        opt_state = O.OptimState(lr=pcfg.lr, weight_decay=pcfg.weight_decay)
-        opt_state.no_decay = O.no_decay_names(params)
-        opt_state.lr_scale = layer_decay_scales(model.config, pcfg.layer_decay)
+        opt = O.AdamW(params, lr=pcfg.lr, weight_decay=pcfg.weight_decay,
+                      lr_scale=layer_decay_scales(model.config,
+                                                  pcfg.layer_decay))
 
     labels = _labels_for(entries, pcfg.task, n_classes)
     n = len(entries)
@@ -276,13 +284,11 @@ def _train_classifier(model, entries, data_dir, pcfg, n_classes, trainable_encod
             logits = T.matmul(feats, clf["clf.w"]) + clf["clf.b"]
             loss = _classifier_loss(logits, y, pcfg.task)
             loss.backward()
-            grads = {name: p.grad for name, p in params.items()}
             lr = O.lr_at(step, schedule)
             if trainable_encoder:
-                O.adamw_step(params, grads, opt_state, lr=lr)
+                O.adamw_step(opt, lr=lr)
             else:
-                O.sgd_step(clf, {k2: grads[k2] for k2 in clf}, lr,
-                           weight_decay=pcfg.weight_decay)
+                O.sgd_step(clf, lr, weight_decay=pcfg.weight_decay)
             step += 1
     return clf
 

@@ -3,16 +3,17 @@
 AdamW with decoupled weight decay, plain SGD for linear probes, and the
 linear-warmup + cosine-decay schedule used for pretraining.
 
-AdamW keeps its parameters in a ``ParamArena``. Parameters are grouped by
-(lr scale, weight-decay exemption, dtype), and each group keeps its
-parameters, gradients and both Adam moments in four flat buffers. A group
-holds whole parameters and at most ``MAX_GROUP`` elements (a larger
-parameter gets a group of its own), so its buffers are no larger than the
-per-parameter arrays they replace and the allocator reuses their memory
-from one arena to the next. With one buffer per group, each ViT-S
-checkpoint load faulted in 276 MB of fresh pages and took 30% longer.
-``Tensor.data``, ``state.m[name]`` and ``state.v[name]`` are views into
-them, and the tensor's ``grad_buffer`` is the view its first gradient of a
+``AdamW`` owns its parameters. Its constructor is the one place that
+decides which are exempt from weight decay (norms and the mask token, as in
+MAE) and groups them by (lr scale, weight-decay exemption, dtype); each
+group keeps its parameters, gradients and both Adam moments in four flat
+buffers. A group holds whole parameters and at most ``MAX_GROUP`` elements
+(a larger parameter gets a group of its own), so its buffers are no larger
+than the per-parameter arrays they replace and the allocator reuses their
+memory from one optimizer to the next. With one buffer per group, each
+ViT-S checkpoint load faulted in 276 MB of fresh pages and took 30% longer.
+``Tensor.data``, ``opt.m[name]`` and ``opt.v[name]`` are views into them,
+and the tensor's ``grad_buffer`` is the view its first gradient of a
 backward pass is copied into (when C-contiguous; see ``tensor._accum``).
 ``adamw_step`` then updates each group in place, over blocks of ``BLOCK``
 elements, with two scratch blocks that stay in cache instead of a fresh
@@ -28,7 +29,7 @@ Where an element sits in a buffer or a block does not change its result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,8 +41,8 @@ import numpy as np
 BLOCK = 1 << 15
 
 # Elements per group at most (128 KB of float32), unless one parameter is
-# larger. Buffers this small are reused from the heap from one arena to the
-# next instead of being mapped and faulted in afresh: building a 13-band demo
+# larger. Buffers this small are reused from the heap from one optimizer to
+# the next instead of being mapped and faulted in afresh: building a 13-band demo
 # Trainer took 18% longer than at the parent with 2^19 (392 minor faults)
 # and 7% longer with 2^15 (none).
 MAX_GROUP = 1 << 15
@@ -67,32 +68,6 @@ def lr_at(step, schedule):
         1.0 + math.cos(math.pi * progress))
 
 
-@dataclass
-class OptimState:
-    """Per-parameter AdamW state plus hyperparameters.
-
-    ``m`` and ``v`` hold a name only once that parameter has been stepped;
-    their arrays are views into ``arena``."""
-
-    lr: float = 1.5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.05
-    t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-    # per-parameter lr scale (layer decay) and weight-decay exemptions
-    lr_scale: dict = field(default_factory=dict)
-    no_decay: set = field(default_factory=set)
-    arena: ParamArena | None = field(default=None, repr=False)
-
-
-def no_decay_names(names):
-    """The parameters exempt from weight decay: norms and the mask token."""
-    return {n for n in names if ".ln" in n or ".norm." in n or n == "mask_token"}
-
-
 class _Group:
     """One (lr scale, decay exemption, dtype) group's flat buffers; members
     are (name, start, stop) in buffer order. A gradient view is written
@@ -104,26 +79,35 @@ class _Group:
         self.m, self.v = np.zeros(size, dtype), np.zeros(size, dtype)
 
 
-class ParamArena:
-    """Flat per-group storage for named parameters and their AdamW state.
+class AdamW:
+    """Decoupled-weight-decay Adam state over named parameters it owns.
 
-    Rebinds every ``p.data`` to its view (copying the current values when
-    ``copy``; a checkpoint load reads into the views instead), points
-    ``p.grad_buffer`` at its gradient view, and moves any moments already
-    in ``state.m``/``state.v`` into their views."""
+    The constructor decides the weight-decay exemptions (``no_decay``:
+    norms and the mask token) and builds the flat groups. It rebinds every
+    ``p.data`` to its view, copying the current values when ``copy`` (a
+    checkpoint load reads into ``views`` instead), and points
+    ``p.grad_buffer`` at its gradient view. ``lr_scale`` maps name -> lr
+    scale (layer decay), 1 for a name not in it. ``m`` and ``v`` hold a
+    name only once that parameter has been stepped."""
 
-    def __init__(self, params, state, copy=True):
+    def __init__(self, params, lr=1.5e-4, beta1=0.9, beta2=0.999, eps=1e-8,
+                 weight_decay=0.05, t=0, lr_scale=None, copy=True):
+        self.params = dict(params)
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.weight_decay, self.t = weight_decay, t
+        self.lr_scale = dict(lr_scale or {})
+        self.no_decay = {n for n in params
+                         if ".ln" in n or ".norm." in n or n == "mask_token"}
+        self.m, self.v = {}, {}
         keyed = {}  # key -> member lists of its groups, the last one open
         for name, p in params.items():
-            key = (state.lr_scale.get(name, 1.0), name in state.no_decay,
+            key = (self.lr_scale.get(name, 1.0), name in self.no_decay,
                    p.data.dtype)
             groups = keyed.setdefault(key, [[]])
             if (groups[-1] and sum(q.data.size for _, q in groups[-1])
                     + p.data.size > MAX_GROUP):
                 groups.append([])
             groups[-1].append((name, p))
-        self.lr_scale = dict(state.lr_scale)
-        self.no_decay = set(state.no_decay)
         self.groups = []
         self.views = {}  # name -> (p, g, m, v) views
         for (scale, exempt, dtype), members in (
@@ -141,30 +125,16 @@ class ParamArena:
                 if copy:
                     views[0][...] = p.data
                 p.data, p.grad_buffer = views[0], views[1]
-                for store, view in ((state.m, views[2]), (state.v, views[3])):
-                    if name in store:
-                        view[...] = store[name]
-                        store[name] = view
                 self.views[name] = views
         self.scratch = None  # see adamw_step
 
-    def fits(self, params, state):
-        """Whether ``params`` are exactly this arena's, still bound to their
-        views, under the grouping ``state`` asks for."""
-        views = self.views
-        return (len(params) == len(views)
-                and all(name in views and p.data is views[name][0]
-                        for name, p in params.items())
-                and state.lr_scale == self.lr_scale
-                and state.no_decay == self.no_decay)
 
-
-def _runs(group, grads):
+def _runs(group, params):
     """[start, stop) runs of a group's buffers whose parameters have a
     gradient, adjacent ones merged."""
     runs = []
     for name, a, b in group.members:
-        if grads[name] is None or a == b:
+        if params[name].grad is None or a == b:
             continue
         if runs and runs[-1][1] == a:
             runs[-1][1] = b
@@ -180,41 +150,38 @@ def _all_finite(x):
                for a in range(0, flat.size, BLOCK))
 
 
-def adamw_step(params, grads, state, lr=None):
-    """One decoupled-weight-decay Adam step over named parameters in place.
+def adamw_step(opt, lr=None):
+    """One decoupled-weight-decay Adam step over ``opt.params`` in place.
 
-    ``params``/``grads`` map name -> Tensor / ndarray; a ``None`` gradient
-    skips its parameter. Gradients other than the arena's own views are
-    copied into it first, cast to the parameter dtype. ``lr`` overrides the
-    stored rate (for schedules). Every gradient is checked before anything
-    is written: a non-finite one raises FloatingPointError naming the first
-    such parameter in ``params`` order, and leaves the parameters, the
-    moments and ``state.t`` as they were.
+    Each parameter's ``p.grad`` is its gradient; ``None`` skips it. A
+    gradient other than its own view is copied into the view first, cast
+    to the parameter dtype. ``lr`` overrides the stored rate (for
+    schedules). Every gradient is checked before anything is written: a
+    non-finite one raises FloatingPointError naming the first such
+    parameter in ``opt.params`` order, and leaves the parameters, the
+    moments and ``opt.t`` as they were.
     """
     if lr is None:
-        lr = state.lr
-    arena = state.arena
-    if arena is None or not arena.fits(params, state):
-        arena = state.arena = ParamArena(params, state)
-    for name in params:
-        g = grads[name]
-        if g is not None and g is not arena.views[name][1]:
-            np.copyto(arena.views[name][1], g, casting="unsafe")
-    plan = [(group, _runs(group, grads)) for group in arena.groups]
+        lr = opt.lr
+    params, views = opt.params, opt.views
+    for name, p in params.items():
+        if p.grad is not None and p.grad is not views[name][1]:
+            np.copyto(views[name][1], p.grad, casting="unsafe")
+    plan = [(group, _runs(group, params)) for group in opt.groups]
     if not all(_all_finite(group.g[a:b]) for group, runs in plan
                for a, b in runs):
-        for name in params:
-            if grads[name] is not None and not _all_finite(arena.views[name][1]):
+        for name, p in params.items():
+            if p.grad is not None and not _all_finite(views[name][1]):
                 raise FloatingPointError(
                     f"non-finite gradient for parameter {name!r}")
-    state.t += 1
-    t = state.t
-    beta1, beta2, eps = state.beta1, state.beta2, state.eps
+    opt.t += 1
+    t = opt.t
+    beta1, beta2, eps = opt.beta1, opt.beta2, opt.eps
     c1, c2 = 1.0 - beta1, 1.0 - beta2
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
     # One pair of scratch blocks per dtype for the whole step, as long as the
-    # longest run needs. They stay on the arena until the next step. Made
+    # longest run needs. They stay on the optimizer until the next step. Made
     # after the step's tape, they keep glibc from trimming the heap top when
     # the tape is freed; freed here, each step handed those pages back and
     # faulted them in again (about 4,800 minor faults per 13-band demo step
@@ -224,12 +191,12 @@ def adamw_step(params, grads, state, lr=None):
         dtype = group.p.dtype
         longest[dtype] = max([longest.get(dtype, 0), *(b - a for a, b in runs)])
     block = BLOCK
-    arena.scratch = {dtype: np.empty((2, min(block, n)), dtype)
-                     for dtype, n in longest.items()}
+    opt.scratch = {dtype: np.empty((2, min(block, n)), dtype)
+                   for dtype, n in longest.items()}
     for group, runs in plan:
-        wd = 0.0 if group.exempt else state.weight_decay
+        wd = 0.0 if group.exempt else opt.weight_decay
         step = lr * group.scale
-        s1, s2 = arena.scratch[group.p.dtype]
+        s1, s2 = opt.scratch[group.p.dtype]
         for start, stop in runs:
             for a in range(start, stop, block):
                 b = min(a + block, stop)
@@ -251,19 +218,18 @@ def adamw_step(params, grads, state, lr=None):
                 np.add(t1, t2, out=t1)                      # ... + wd p
                 np.multiply(t1, step, out=t1)
                 np.subtract(p, t1, out=p)                   # p -= lr scale (...)
-    for name in params:
-        if grads[name] is not None and name not in state.m:
-            state.m[name], state.v[name] = arena.views[name][2:]
-
-
-def sgd_step(params, grads, lr, weight_decay=0.0):
-    """Vanilla SGD; decoupled weight decay when requested. Every gradient
-    is checked before any parameter is written."""
-    for name in params:
-        g = grads[name]
-        if g is not None and not np.isfinite(g).all():
-            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
     for name, p in params.items():
-        g = grads[name]
-        if g is not None:
-            p.data = p.data - lr * (g + weight_decay * p.data)
+        if p.grad is not None and name not in opt.m:
+            opt.m[name], opt.v[name] = views[name][2:]
+
+
+def sgd_step(params, lr, weight_decay=0.0):
+    """Vanilla SGD over named parameters, each stepped by its ``p.grad``
+    (``None`` skips it); decoupled weight decay when requested. Every
+    gradient is checked before any parameter is written."""
+    for name, p in params.items():
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
+    for p in params.values():
+        if p.grad is not None:
+            p.data = p.data - lr * (p.grad + weight_decay * p.data)

@@ -57,6 +57,8 @@ class PretrainConfig:
     checkpoint_interval: int = 0  # steps; 0 = only final
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
         if self.warmup_epochs > self.epochs:
@@ -151,9 +153,9 @@ def _check(value, default, where):
 class Trainer:
     """Owns the model, optimizer state and data flow for one pretraining run.
 
-    A fresh trainer initialises the model and moves its parameters into the
-    optimizer's arena once, here; ``load`` passes in a model and optimizer
-    state whose arena the checkpoint was read into."""
+    A fresh trainer initialises the model and moves its parameters into its
+    ``AdamW``'s flat buffers once, here; ``load`` passes in a model and an
+    ``AdamW`` whose buffers the checkpoint was read into."""
 
     def __init__(self, cfg, entries, data_dir, model=None, opt=None):
         self.cfg = cfg
@@ -167,11 +169,9 @@ class Trainer:
             model = M.FgMae(cfg.model, cfg.heads, self.rng.child("init").at(0))
         self.model = model
         if opt is None:
-            opt = O.OptimState(lr=cfg.base_lr, beta1=cfg.adam_betas[0],
-                               beta2=cfg.adam_betas[1],
-                               weight_decay=cfg.weight_decay)
-            opt.no_decay = O.no_decay_names(model.params)
-            opt.arena = O.ParamArena(model.params, opt)
+            opt = O.AdamW(model.params, lr=cfg.base_lr,
+                          beta1=cfg.adam_betas[0], beta2=cfg.adam_betas[1],
+                          weight_decay=cfg.weight_decay)
         self.opt = opt
         self.step = 0
         self.loss_log = []  # (step, lr, loss)
@@ -227,12 +227,10 @@ class Trainer:
         lr = O.lr_at(step, self.schedule)
         loss.backward()
         if not np.isfinite(loss_val):
-            raise TrainingDiverged(step, lr,
-                                   global_grad_norm(self.model.params.values()))
+            raise TrainingDiverged(step, lr, global_grad_norm(self.model.params))
         if cfg.grad_clip > 0:  # scales the gradients in place
             clip_global_norm(self.model.params, cfg.grad_clip)
-        grads = {n: p.grad for n, p in self.model.params.items()}
-        O.adamw_step(self.model.params, grads, self.opt, lr=lr)
+        O.adamw_step(self.opt, lr=lr)
         self.step += 1
         self.loss_log.append((step, lr, loss_val))
         return lr, loss_val
@@ -331,7 +329,7 @@ def load_checkpoint(path, cfg=None, moments=True):
     """Rebuild (model, optimizer state, step, loss log, config dict, index).
 
     Each parameter and moment payload is read straight into its view of a
-    fresh optimizer arena. With ``moments=False`` only the index and the
+    fresh ``AdamW``'s buffers. With ``moments=False`` only the index and the
     parameters are read, into plain arrays, and the optimizer state is
     None. An index.json that is missing, malformed, of another format or
     short of a key is a CheckpointError, and so is a missing file, which
@@ -368,15 +366,13 @@ def load_checkpoint(path, cfg=None, moments=True):
                       f"match the supplied config {cfg.digest()}", stacklevel=2)
     opt = None
     if moments:
-        opt = O.OptimState(**opt_args)
-        opt.no_decay = O.no_decay_names(model.params)
-        opt.arena = O.ParamArena(model.params, opt, copy=False)
+        opt = O.AdamW(model.params, **opt_args, copy=False)
     for name, p in model.params.items():
         _read_into(path, f"param__{name}.fgmr", p.data, "tensor", name)
     for name in has_moments if moments else ():
-        if name not in opt.arena.views:
+        if name not in opt.views:
             raise CheckpointError(f"moments for unknown parameter {name!r}")
-        for kind, store, view in zip("mv", (opt.m, opt.v), opt.arena.views[name][2:]):
+        for kind, store, view in zip("mv", (opt.m, opt.v), opt.views[name][2:]):
             store[name] = _read_into(path, f"{kind}__{name}.fgmr", view,
                                      f"{kind} moment", name)
     return model, opt, step, loss_log, stored_cfg, index

@@ -2,8 +2,10 @@
 
 Each consumer (masking, init, augmentation, speckle, ...) gets its own child
 stream derived from the root seed and a name, so adding a consumer never
-perturbs the draws of another. Draws are counter-based: stream state is a
-single integer, which makes checkpointing trivial.
+perturbs the draws of another. Draws are counter-based and stateless: a
+stream is (seed, path of names), and ``at(counter)`` gives the generator for
+one counter value, such as a step or a sample index. A run resumes bitwise
+from its step alone, with no random state to checkpoint.
 """
 
 from __future__ import annotations
@@ -18,35 +20,18 @@ def _name_key(name):
 
 
 class Rng:
-    """Deterministic stream keyed by (seed, path-of-names, counter)."""
+    """Deterministic stream keyed by (seed, path-of-names)."""
 
-    def __init__(self, seed, _key=(), counter=0):
+    def __init__(self, seed, _key=()):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self._key = tuple(_key)
-        self.counter = int(counter)
 
     def child(self, name):
         """Independent sub-stream; same name always yields the same stream."""
         return Rng(self.seed, self._key + (_name_key(name),))
 
-    def generator(self):
-        """Fresh numpy Generator for the next counter value."""
-        seq = np.random.SeedSequence(entropy=self.seed,
-                                     spawn_key=self._key + (self.counter,))
-        self.counter += 1
-        return np.random.Generator(np.random.Philox(seq))
-
     def at(self, counter):
-        """Generator for an explicit counter (stateless access, e.g. per step)."""
+        """Generator for an explicit counter (e.g. per step)."""
         seq = np.random.SeedSequence(entropy=self.seed,
                                      spawn_key=self._key + (int(counter),))
         return np.random.Generator(np.random.Philox(seq))
-
-    # checkpointable state ----------------------------------------------------
-
-    def state(self):
-        return {"seed": self.seed, "key": list(self._key), "counter": self.counter}
-
-    @classmethod
-    def from_state(cls, st):
-        return cls(st["seed"], tuple(st["key"]), st["counter"])

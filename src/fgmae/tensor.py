@@ -597,13 +597,10 @@ def grad_check(f, x, h=1e-5):
     return float(np.max(np.abs(num - g) / denom))
 
 
-def _param_list(params):
-    return list(params.values()) if isinstance(params, dict) else list(params)
-
-
 def global_grad_norm(params):
+    """The l2 norm of every gradient in the name -> Tensor dict ``params``."""
     total = 0.0
-    for p in _param_list(params):
+    for p in params.values():
         if p.grad is not None:
             total += float(np.sum(p.grad.astype(np.float64) ** 2))
     return math.sqrt(total)
@@ -616,7 +613,7 @@ def clip_global_norm(params, max_norm):
     norm = global_grad_norm(params)
     if norm > max_norm > 0:
         scale = max_norm / norm
-        for p in _param_list(params):
+        for p in params.values():
             if p.grad is not None:
                 p.grad *= scale
     return norm

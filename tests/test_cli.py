@@ -270,6 +270,85 @@ class TestConfigChecks:
                                   "ndi", capsys)
 
 
+class TestBadValues:
+    """Config values and manifests that ended in a traceback: each is one
+    error[kind] line and the documented exit code."""
+
+    # case -> (command, config overrides, manifest damage, kind, match)
+    CASES = {
+        "epochs-0": ("pretrain", {"epochs": 0, "warmup_epochs": 0}, None,
+                     "config", "epochs"),
+        "probe-batch-size-0": ("probe", {"batch_size": 0}, None,
+                               "config", "batch size"),
+        "probe-eval-every-n-0": ("probe", {"eval_every_n": 0}, None,
+                                 "config", "eval_every_n"),
+        "finetune-scale-min-0": ("finetune", {"scale_min": 0.0}, None,
+                                 "config", "scale_min"),
+        "finetune-negative-mixup": ("finetune", {"mixup_alpha": -0.5}, None,
+                                    "config", "mixup_alpha"),
+        "ablate-empty-specs": ("ablate", {"specs": []}, None, "config", "specs"),
+        "ablate-specs-a-string": ("ablate", {"specs": "hog"}, None,
+                                  "config", "specs"),
+        "ablate-spec-not-a-string": ("ablate", {"specs": ["hog", 3]}, None,
+                                     "config", "specs"),
+        "ablate-seed-not-an-int": ("ablate", {"seeds": ["a"]}, None,
+                                   "config", "seeds"),
+        "ablate-seeds-not-a-list": ("ablate", {"seeds": 0}, None,
+                                    "config", "seeds"),
+        "ablate-random-init-not-a-bool": ("ablate", {"include_random_init": "yes"},
+                                          None, "config", "include_random_init"),
+        "pretrain-no-season": ("pretrain", {}, "no-season", "io", "'season'"),
+        "pretrain-bad-season": ("pretrain", {}, "bad-season", "io", "season"),
+        "pretrain-empty-manifest": ("pretrain", {}, "empty", "io", "no rows"),
+        "probe-empty-manifest": ("probe", {}, "empty", "io", "no rows"),
+        "ablate-no-season": ("ablate", {}, "no-season", "io", "'season'"),
+    }
+    CODES = {"config": cli.EXIT_CONFIG, "io": cli.EXIT_IO}
+
+    @staticmethod
+    def _manifest(tmp_path, source, damage):
+        if damage is None:
+            return source
+        rows = open(source).read().splitlines()
+        if damage == "no-season":
+            rows = [",".join(c for i, c in enumerate(r.split(",")) if i != 1)
+                    for r in rows]
+        elif damage == "bad-season":
+            cells = rows[2].split(",")
+            rows[2] = ",".join(cells[:1] + ["spring"] + cells[2:])
+        else:
+            rows = rows[:1]
+        path = str(tmp_path / "manifest.csv")
+        open(path, "w").write("\n".join(rows) + "\n")
+        return path
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_one_error_line_and_exit_code(self, tmp_path, capsys, sar_dataset,
+                                          demo_checkpoint, case):
+        command, overrides, damage, kind, match = self.CASES[case]
+        manifest = self._manifest(tmp_path, os.path.join(sar_dataset,
+                                                         "manifest.csv"), damage)
+        out = str(tmp_path / "out")
+        if command in ("probe", "finetune"):
+            cfg = str(tmp_path / "probe.json")
+            json.dump({"task": "singlelabel", "epochs": 1, "batch_size": 4,
+                       **overrides}, open(cfg, "w"))
+            argv = [command, "--config", cfg, "--checkpoint", demo_checkpoint,
+                    "--manifest", manifest]
+        else:
+            if command == "ablate":
+                overrides = {"specs": ["hog", "raw"], "seeds": [0], **overrides}
+            cfg = _pretrain_config(tmp_path, manifest, **overrides)
+            argv = [command, "--config", cfg, "--out", out]
+            if command == "ablate":
+                argv += ["--manifest", manifest]
+        code, _, err = run_cli(argv, capsys)
+        assert code == self.CODES[kind]
+        assert err.startswith(f"error[{kind}]") and len(err.splitlines()) == 1
+        assert "Traceback" not in err and match in err
+        assert not os.path.exists(out)
+
+
 class TestProbeCommand:
     def test_probe_after_pretrain(self, tmp_path, capsys, sar_dataset):
         manifest = os.path.join(sar_dataset, "manifest.csv")

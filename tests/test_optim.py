@@ -1,6 +1,7 @@
-"""AdamW's parameter arena: bitwise equal to the per-parameter loop kept in
-tests/oracles.py, all-or-nothing on non-finite gradients, in-place clipping,
-and checkpoint loads that read straight into the arena."""
+"""AdamW's flat parameter buffers: bitwise equal to the per-parameter loop
+kept in tests/oracles.py, all-or-nothing on non-finite gradients, in-place
+clipping, checkpoint loads that read straight into the buffers, and the
+weight-decay exemptions."""
 
 import json
 import os
@@ -10,9 +11,12 @@ import pytest
 
 from fgmae import data as D
 from fgmae import evaluate as E
+from fgmae import features as F
+from fgmae import model as M
 from fgmae import optim as O
 from fgmae import pretrain as P
 from fgmae import tensor as T
+from fgmae.rng import Rng
 from fgmae.tensor import Tensor
 from oracles import adamw_step_reference
 from test_pretrain import _dataset
@@ -26,11 +30,9 @@ def _params(dtype, seed=0):
             for n, s in SHAPES.items()}
 
 
-def _state(lr_scale=None):
-    st = O.OptimState(lr=1e-2, beta1=0.9, beta2=0.95, weight_decay=0.05)
-    st.no_decay = O.no_decay_names(SHAPES)
-    st.lr_scale = dict(lr_scale or {})
-    return st
+def _state(params, lr_scale=None):
+    return O.AdamW(params, lr=1e-2, beta1=0.9, beta2=0.95, weight_decay=0.05,
+                   lr_scale=lr_scale)
 
 
 def _assert_same(params_a, state_a, params_b, state_b):
@@ -58,21 +60,23 @@ def test_arena_matches_the_per_parameter_loop(dtype, lr_scale, block,
         monkeypatch.setattr(O, "MAX_GROUP", max_group)
     rng = np.random.default_rng(1)
     got, want = _params(dtype), _params(dtype)
-    st_got, st_want = _state(lr_scale), _state(lr_scale)
+    st_got, st_want = _state(got, lr_scale), _state(want, lr_scale)
     for step in range(6):
-        # gradients passed as separate arrays, not the arena's views; "b1"
+        # gradients set as separate arrays, not the buffers' views; "b1"
         # has none on the first two steps and is skipped
         grads = {n: (None if n == "b1" and step < 2
                      else rng.standard_normal(s).astype(dtype))
                  for n, s in SHAPES.items()}
-        O.adamw_step(got, grads, st_got, lr=1e-2 * (step + 1))
+        for n, p in got.items():
+            p.grad = grads[n]
+        O.adamw_step(st_got, lr=1e-2 * (step + 1))
         adamw_step_reference(want, grads, st_want, lr=1e-2 * (step + 1))
         _assert_same(got, st_got, want, st_want)
     assert all(p.data.dtype == dtype for p in got.values())
     if max_group is not None:
         # decay: w1 (15) | b1 (3) | w2 (16) | tok (6); no decay: x.ln.g (11)
-        assert [g.p.size for g in st_got.arena.groups] == [15, 3, 16, 6, 11]
-    buffers = [buf for g in st_got.arena.groups for buf in (g.p, g.m, g.v)]
+        assert [g.p.size for g in st_got.groups] == [15, 3, 16, 6, 11]
+    buffers = [buf for g in st_got.groups for buf in (g.p, g.m, g.v)]
     for name, p in got.items():
         assert any(np.shares_memory(p.data, buf) for buf in buffers), name
         assert any(np.shares_memory(st_got.m[name], buf) for buf in buffers)
@@ -80,19 +84,22 @@ def test_arena_matches_the_per_parameter_loop(dtype, lr_scale, block,
 
 def test_nonfinite_gradient_changes_nothing():
     params = _params(np.float32)
-    st = _state()
+    st = _state(params)
     rng = np.random.default_rng(2)
-    O.adamw_step(params, {n: rng.standard_normal(s).astype(np.float32)
-                          for n, s in SHAPES.items()}, st)
+    for n, s in SHAPES.items():
+        params[n].grad = rng.standard_normal(s).astype(np.float32)
+    O.adamw_step(st)
     before = {n: p.data.copy() for n, p in params.items()}
     moments = {n: (st.m[n].copy(), st.v[n].copy()) for n in st.m}
     grads = {n: np.ones(s, np.float32) for n, s in SHAPES.items()}
     # "x.ln.g" (no decay, a later group) is the first bad one in params
-    # order; "w2" (the decay group, which the arena checks first) is bad too
+    # order; "w2" (the decay group, which adamw_step checks first) is bad too
     grads["x.ln.g"][3] = np.inf
     grads["w2"][0, 0] = np.nan
+    for n, p in params.items():
+        p.grad = grads[n]
     with pytest.raises(FloatingPointError, match="'x.ln.g'"):
-        O.adamw_step(params, grads, st)
+        O.adamw_step(st)
     assert st.t == 1
     for n, p in params.items():
         assert p.data.tobytes() == before[n].tobytes(), n
@@ -100,9 +107,39 @@ def test_nonfinite_gradient_changes_nothing():
         assert st.v[n].tobytes() == moments[n][1].tobytes(), n
 
     with pytest.raises(FloatingPointError, match="'x.ln.g'"):
-        O.sgd_step(params, grads, lr=0.1)
+        O.sgd_step(params, lr=0.1)
     for n, p in params.items():
         assert p.data.tobytes() == before[n].tobytes(), n
+
+
+def test_exempts_exactly_the_norms_and_the_mask_token(monkeypatch):
+    # the norms are found by what a forward pass hands layer_norm as gain
+    # and bias, not by their names
+    cfg = M.ModelConfig(image_size=32, patch_size=8, in_channels=13,
+                        enc_width=32, enc_depth=2, enc_heads=4,
+                        dec_width=32, dec_depth=1, dec_heads=4, mask_ratio=0.7)
+    spec = F.FeatureSpec("hog+ndi", hog=F.HogParams(cell_size=4))
+    model = M.FgMae(cfg, spec.heads(13, 8), Rng(0).child("init").at(0))
+    norms = set()
+    layer_norm = T.layer_norm
+
+    def recording(x, gamma, beta, *args, **kwargs):
+        norms.update((id(gamma), id(beta)))
+        return layer_norm(x, gamma, beta, *args, **kwargs)
+    monkeypatch.setattr(T, "layer_norm", recording)
+    plan = M.random_masking_plan(2, cfg.n_patches, cfg.mask_ratio,
+                                 Rng(0).child("mask").at(0))
+    with T.no_grad():
+        model.forward(Tensor(np.zeros((2, 13, 32, 32), np.float32)), plan)
+    expected = {n for n, p in model.params.items() if id(p) in norms}
+    # two norms per block, plus the encoder's and the decoder's last norm
+    assert len(expected) == 2 * (2 * (cfg.enc_depth + cfg.dec_depth) + 2)
+    expected.add("mask_token")
+
+    opt = O.AdamW(model.params)
+    assert opt.no_decay == expected
+    assert {n for g in opt.groups if g.exempt
+            for n, _, _ in g.members} == expected
 
 
 def test_clip_scales_gradients_in_place():
@@ -142,9 +179,9 @@ def _trainer(tmp_path, **overrides):
 
 def _oracle(monkeypatch):
     """The per-parameter loop, reading each gradient off its parameter."""
-    def step(params, grads, state, lr=None):
-        adamw_step_reference(params, {n: p.grad for n, p in params.items()},
-                             state, lr)
+    def step(opt, lr=None):
+        adamw_step_reference(opt.params,
+                             {n: p.grad for n, p in opt.params.items()}, opt, lr)
     monkeypatch.setattr(O, "adamw_step", step)
 
 
@@ -182,7 +219,7 @@ def test_load_reads_into_the_arena(tmp_path):
     trainer.save(str(tmp_path / "ckpt"))
     resumed = P.Trainer.load(str(tmp_path / "ckpt"), trainer.entries,
                              trainer.data_dir)
-    groups = resumed.opt.arena.groups
+    groups = resumed.opt.groups
     for name, p in resumed.model.params.items():
         assert any(np.shares_memory(p.data, g.p) for g in groups), name
         assert any(np.shares_memory(resumed.opt.m[name], g.m) for g in groups)
@@ -190,7 +227,7 @@ def test_load_reads_into_the_arena(tmp_path):
     resumed.train_step()
     trainer.train_step()
     for name, p in resumed.model.params.items():
-        # the step's gradients landed in the arena and nothing was rebound
+        # the step's gradients landed in the buffers and nothing was rebound
         assert any(np.shares_memory(p.grad, g.g) for g in groups), name
         assert p.data.tobytes() == trainer.model.params[name].data.tobytes()
 
@@ -221,9 +258,10 @@ def test_fine_tune_steps_encoder_and_classifier_only(tmp_path, monkeypatch):
     seen = []
     step = O.adamw_step
 
-    def recording(params, grads, state, lr=None):
-        seen.append((sorted(params), [n for n, g in grads.items() if g is None]))
-        step(params, grads, state, lr)
+    def recording(opt, lr=None):
+        seen.append((sorted(opt.params),
+                     [n for n, p in opt.params.items() if p.grad is None]))
+        step(opt, lr)
     monkeypatch.setattr(O, "adamw_step", recording)
     got = P.load_model(str(tmp_path / "ckpt"))
     report = E.fine_tune(got, trainer.entries, trainer.data_dir, pcfg)

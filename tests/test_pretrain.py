@@ -85,7 +85,7 @@ def _pretrain_configs(draw):
                                    out_size=model.image_size,
                                    hflip_prob=draw(_UNIT))
     heads = feature.heads(channels, patch)
-    epochs = draw(st.integers(0, 1000))
+    epochs = draw(st.integers(1, 1000))
     return P.PretrainConfig(
         model=model, feature=feature, augment=augment, epochs=epochs,
         batch_size=draw(st.integers(1, 64)), base_lr=draw(_FLOATS),
@@ -99,9 +99,10 @@ def _pretrain_configs(draw):
 _PROBE_CONFIGS = st.builds(
     E.ProbeConfig, task=st.sampled_from(["singlelabel", "multilabel"]),
     epochs=st.integers(0, 100), batch_size=st.integers(1, 64), lr=_FLOATS,
-    weight_decay=_FLOATS, layer_decay=_FLOATS, mixup_alpha=_FLOATS,
+    weight_decay=_FLOATS, layer_decay=_FLOATS,
+    mixup_alpha=st.floats(0.0, allow_infinity=False),
     seed=st.integers(0, 2**32), eval_every_n=st.integers(1, 10),
-    scale_min=_FLOATS)
+    scale_min=st.floats(0.0, 1.0, exclude_min=True))
 _FUZZ = settings(max_examples=60, deadline=None)
 
 

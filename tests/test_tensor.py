@@ -298,44 +298,48 @@ class TestOptim:
     def test_adamw_hand_example(self):
         # one step from theta=1, g=0.5, lr=0.1, wd=0.05 lands on 0.895
         p = {"w": Tensor(np.array([1.0]), requires_grad=True, dtype=np.float64)}
-        g = {"w": np.array([0.5])}
-        st = O.OptimState(lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8,
-                          weight_decay=0.05)
-        O.adamw_step(p, g, st)
+        st = O.AdamW(p, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8,
+                     weight_decay=0.05)
+        p["w"].grad = np.array([0.5])
+        O.adamw_step(st)
         np.testing.assert_allclose(p["w"].data, [0.895], atol=1e-6)
 
     def test_adamw_decoupled_decay_skips_exempt(self):
+        # "enc.norm.g" is a norm, so it is exempt
         p = {"w": Tensor(np.array([1.0]), requires_grad=True, dtype=np.float64),
-             "n": Tensor(np.array([1.0]), requires_grad=True, dtype=np.float64)}
-        g = {"w": np.array([0.0]), "n": np.array([0.0])}
-        st = O.OptimState(lr=0.1, weight_decay=0.5)
-        st.no_decay = {"n"}
-        O.adamw_step(p, g, st)
+             "enc.norm.g": Tensor(np.array([1.0]), requires_grad=True,
+                                  dtype=np.float64)}
+        st = O.AdamW(p, lr=0.1, weight_decay=0.5)
+        assert st.no_decay == {"enc.norm.g"}
+        p["w"].grad, p["enc.norm.g"].grad = np.array([0.0]), np.array([0.0])
+        O.adamw_step(st)
         assert p["w"].data[0] < 1.0         # decayed
-        np.testing.assert_allclose(p["n"].data, [1.0])
+        np.testing.assert_allclose(p["enc.norm.g"].data, [1.0])
 
     def test_adamw_rejects_nonfinite(self):
         p = {"w": Tensor(np.array([1.0]), requires_grad=True, dtype=np.float64)}
-        g = {"w": np.array([np.nan])}
+        st = O.AdamW(p)
+        p["w"].grad = np.array([np.nan])
         with pytest.raises(FloatingPointError):
-            O.adamw_step(p, g, O.OptimState())
+            O.adamw_step(st)
 
     def test_adamw_lr_scale(self):
         mk = lambda: {"a": Tensor(np.array([0.0]), requires_grad=True,
                                   dtype=np.float64)}
-        g = {"a": np.array([1.0])}
         p_full, p_half = mk(), mk()
-        st1 = O.OptimState(lr=0.1, weight_decay=0.0)
-        st2 = O.OptimState(lr=0.1, weight_decay=0.0)
-        st2.lr_scale = {"a": 0.5}
-        O.adamw_step(p_full, g, st1)
-        O.adamw_step(p_half, g, st2)
+        st1 = O.AdamW(p_full, lr=0.1, weight_decay=0.0)
+        st2 = O.AdamW(p_half, lr=0.1, weight_decay=0.0, lr_scale={"a": 0.5})
+        for p in (p_full, p_half):
+            p["a"].grad = np.array([1.0])
+        O.adamw_step(st1)
+        O.adamw_step(st2)
         np.testing.assert_allclose(p_half["a"].data, p_full["a"].data * 0.5,
                                    rtol=1e-12)
 
     def test_sgd_step(self):
         p = {"w": Tensor(np.array([1.0]), requires_grad=True, dtype=np.float64)}
-        O.sgd_step(p, {"w": np.array([0.5])}, lr=0.1)
+        p["w"].grad = np.array([0.5])
+        O.sgd_step(p, lr=0.1)
         np.testing.assert_allclose(p["w"].data, [0.95])
 
     def test_schedule_warmup_and_cosine(self):
