@@ -10,6 +10,7 @@ prints one machine-parsable ``error[kind] reason`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -21,6 +22,7 @@ from . import data as D
 from . import evaluate as E
 from . import features as F
 from . import model as M
+from . import optim as O
 from . import pretrain as P
 from .rng import Rng
 from .tensor import Tensor, no_grad
@@ -29,9 +31,6 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_GEOMETRY = 4
 EXIT_DIVERGED = 5
-
-# a finite loss with non-finite gradients raises FloatingPointError in optim
-_DIVERGED = (P.TrainingDiverged, FloatingPointError)
 
 
 class CliError(Exception):
@@ -43,6 +42,20 @@ class CliError(Exception):
 
 def _fail(kind, message, code):
     raise CliError(kind, message, code)
+
+
+@contextlib.contextmanager
+def _training_errors():
+    """A training run's failures as one error line each: divergence, scenes
+    with more bands than the model takes, unreadable scenes or manifests."""
+    try:
+        yield
+    except (O.TrainingDiverged, FloatingPointError) as exc:
+        _fail("loss", str(exc), EXIT_DIVERGED)
+    except D.ChannelError as exc:
+        _fail("geometry", str(exc), EXIT_GEOMETRY)
+    except (OSError, D.ContainerError) as exc:
+        _fail("io", str(exc), EXIT_IO)
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +161,8 @@ def _pretrain_config(args):
 def cmd_pretrain(args):
     cfg, manifest = _pretrain_config(args)
     print(f"config_digest={cfg.digest()}")
-    try:
+    with _training_errors():
         trainer = P.pretrain_run(cfg, manifest, args.out)
-    except _DIVERGED as exc:
-        _fail("loss", str(exc), EXIT_DIVERGED)
-    except (OSError, D.ContainerError) as exc:
-        _fail("io", str(exc), EXIT_IO)
     final = trainer.loss_log[-1]
     print(f"final step={final[0]} lr={final[1]:.6e} loss={final[2]:.6f}")
     return 0
@@ -184,22 +193,13 @@ def _report_out(report, out):
                 f.write(f"{k},{v!r}\n")
 
 
-def _train_and_report(train, args):
+def cmd_transfer(args):
+    """Probe or fine-tune (``args.train``) a checkpoint; report metrics."""
     model, entries, data_dir, pcfg = _probe_setup(args)
-    try:
-        report = train(model, entries, data_dir, pcfg)
-    except _DIVERGED as exc:
-        _fail("loss", str(exc), EXIT_DIVERGED)
+    with _training_errors():
+        report = args.train(model, entries, data_dir, pcfg)
     _report_out(report, args.out)
     return 0
-
-
-def cmd_probe(args):
-    return _train_and_report(E.linear_probe_train, args)
-
-
-def cmd_finetune(args):
-    return _train_and_report(E.fine_tune, args)
 
 
 def cmd_ablate(args):
@@ -227,14 +227,10 @@ def cmd_ablate(args):
         _config(dataclasses.replace, base_cfg, feature=spec)  # checks the arm
         specs.append(spec)
     print(f"config_digest={base_cfg.digest()}")
-    try:
+    with _training_errors():
         rows = E.feature_ablation_study(base_cfg, specs, seeds, args.manifest,
                                         args.out, probe_cfg,
                                         include_random_init=include_random)
-    except _DIVERGED as exc:
-        _fail("loss", str(exc), EXIT_DIVERGED)
-    except (OSError, D.ContainerError) as exc:
-        _fail("io", str(exc), EXIT_IO)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "ablation.csv")
     E.write_ablation_csv(csv_path, rows)
@@ -287,15 +283,15 @@ def cmd_render(args):
             _fail("feature", f"checkpoint has no {args.mode} head",
                   EXIT_GEOMETRY)
         cfg = model.config
-        if image.shape[-1] != cfg.image_size:
-            image = np.stack([D._bilinear_resize(im, cfg.image_size, cfg.image_size)
-                              for im in image])
-        image = np.stack([D.zero_pad_channels(im, cfg.in_channels) for im in image])
+        try:  # the probe's evaluation view: zero-padded, resized
+            image = np.stack([E._eval_view(im, cfg) for im in image])
+        except D.ChannelError as exc:
+            _fail("geometry", str(exc), EXIT_GEOMETRY)
         gen = Rng(_default_seed(args)).child("render").at(0)
         plan = M.random_masking_plan(image.shape[0], cfg.n_patches,
                                      cfg.mask_ratio, gen)
         with no_grad():
-            pred = model.forward(Tensor(image.astype(np.float32)), plan)[args.mode]
+            pred = model.forward(Tensor(image), plan)[args.mode]
         if args.mode == "ndi":
             rgb = M.render_ndi_false_color(pred, cfg.image_size,
                                            cfg.patch_size)[0]
@@ -352,15 +348,16 @@ def build_parser():
     p.add_argument("--epochs", type=int)
     p.set_defaults(func=cmd_pretrain)
 
-    for name, fn, hlp in (("probe", cmd_probe, "linear probe a checkpoint"),
-                          ("finetune", cmd_finetune, "fine-tune a checkpoint")):
+    for name, fn, hlp in (("probe", E.linear_probe_train,
+                           "linear probe a checkpoint"),
+                          ("finetune", E.fine_tune, "fine-tune a checkpoint")):
         p = sub.add_parser(name, help=hlp)
         p.add_argument("--config", required=True)
         p.add_argument("--checkpoint", required=True)
         p.add_argument("--manifest", required=True)
         p.add_argument("--out")
         p.add_argument("--seed", type=int)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_transfer, train=fn)
 
     p = sub.add_parser("ablate", help="feature ablation study")
     p.add_argument("--config", required=True)

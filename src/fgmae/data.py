@@ -31,6 +31,10 @@ class ContainerError(Exception):
     """Raised on a malformed FGMR file or scene manifest."""
 
 
+class ChannelError(ValueError):
+    """Raised on an image with more bands than the model has input channels."""
+
+
 def write_tensor(path, array):
     """Serialize an ndarray: magic, version u32, dtype u8, rank u8,
     dims u64[rank], then the little-endian row-major payload."""
@@ -150,8 +154,9 @@ def write_manifest(path, entries):
 
 def read_manifest(path):
     """The scene entries of a manifest. A row short of a column, a season
-    that is not an integer, or a manifest with no rows is a ContainerError
-    naming the file and the row."""
+    that is not an integer, a label that is not a ``;``-separated list of
+    integers, or a manifest with no rows is a ContainerError naming the
+    file and the row."""
     entries = []
     with open(path, newline="") as f:
         for i, row in enumerate(csv.DictReader(f), 1):
@@ -163,8 +168,14 @@ def read_manifest(path):
             except ValueError:
                 raise ContainerError(f"{path}, row {i}: season {row['season']!r} "
                                      f"is not an integer") from None
-            entries.append(SceneEntry(row["location_id"], season, row["modality"],
-                                      row["path"], row.get("label", "")))
+            entry = SceneEntry(row["location_id"], season, row["modality"],
+                               row["path"], row.get("label", ""))
+            try:
+                entry.label_list()
+            except ValueError:
+                raise ContainerError(f"{path}, row {i}: label {entry.label!r} "
+                                     f"is not a list of integers") from None
+            entries.append(entry)
     if not entries:
         raise ContainerError(f"{path} has no rows")
     return entries
@@ -351,12 +362,9 @@ def _bilinear_resize(image, out_h, out_w):
     x1 = np.minimum(x0 + 1, w - 1)
     wy = (ys - y0)[None, :, None]
     wx = (xs - x0)[None, None, :]
-    tl = image[:, y0][:, :, x0]
-    tr = image[:, y0][:, :, x1]
-    bl = image[:, y1][:, :, x0]
-    br = image[:, y1][:, :, x1]
-    top = tl * (1.0 - wx) + tr * wx
-    bot = bl * (1.0 - wx) + br * wx
+    rows0, rows1 = image[:, y0], image[:, y1]  # each row gather once
+    top = rows0[:, :, x0] * (1.0 - wx) + rows0[:, :, x1] * wx
+    bot = rows1[:, :, x0] * (1.0 - wx) + rows1[:, :, x1] * wx
     return top * (1.0 - wy) + bot * wy
 
 
@@ -376,12 +384,11 @@ def random_resized_crop(image, cfg, generator):
         if 0 < cw <= w and 0 < ch <= h:
             top = int(generator.integers(h - ch + 1))
             left = int(generator.integers(w - cw + 1))
-            crop = image[:, top:top + ch, left:left + cw]
-            return _bilinear_resize(crop, cfg.out_size, cfg.out_size).astype(image.dtype)
-    side = min(h, w)
-    top = (h - side) // 2
-    left = (w - side) // 2
-    crop = image[:, top:top + side, left:left + side]
+            break
+    else:
+        ch = cw = min(h, w)
+        top, left = (h - ch) // 2, (w - cw) // 2
+    crop = image[:, top:top + ch, left:left + cw]
     return _bilinear_resize(crop, cfg.out_size, cfg.out_size).astype(image.dtype)
 
 
@@ -390,6 +397,29 @@ def horizontal_flip(image, prob, generator):
     if generator.random() < prob:
         return np.ascontiguousarray(np.asarray(image)[..., ::-1])
     return np.asarray(image)
+
+
+def sample_plan(rng, n, batch_size, step):
+    """The items of ``n`` that training step ``step`` draws, slice ``k`` of
+    epoch ``e``'s permutation (``rng.child("order").at(e)``), and the
+    generator of each: ``rng.child("sample").at(step * batch_size + j)``."""
+    epoch, k = divmod(step, math.ceil(n / batch_size))
+    order = rng.child("order").at(epoch).permutation(n)
+    idx = order[k * batch_size:(k + 1) * batch_size]
+    sample = rng.child("sample")
+    return idx, [sample.at(step * batch_size + j) for j in range(len(idx))]
+
+
+def augmented_batch(paths, generators, aug, channels):
+    """One training batch, float32 (B, channels, out, out): each scene file
+    is read, zero-padded to ``channels`` (more bands is a ChannelError),
+    crop-resized and maybe flipped with its own generator."""
+    images = []
+    for path, gen in zip(paths, generators):
+        img = zero_pad_channels(read_tensor(path), channels)
+        img = random_resized_crop(img, aug, gen)
+        images.append(horizontal_flip(img, aug.hflip_prob, gen))
+    return np.stack(images).astype(np.float32)
 
 
 def mixup(images, labels, alpha, generator):
@@ -407,11 +437,13 @@ def mixup(images, labels, alpha, generator):
 
 
 def zero_pad_channels(image, target_channels):
-    """Append all-zero channels up to ``target_channels``."""
+    """Append all-zero channels up to ``target_channels``; more bands than
+    that is a ChannelError."""
     image = np.asarray(image)
     c = image.shape[0]
     if c > target_channels:
-        raise ValueError(f"cannot pad {c} channels down to {target_channels}")
+        raise ChannelError(f"image has {c} bands, more than the model's "
+                           f"{target_channels} input channels")
     if c == target_channels:
         return image
     pad = np.zeros((target_channels - c,) + image.shape[1:], dtype=image.dtype)

@@ -18,6 +18,7 @@ import numpy as np
 from . import data as D
 from . import model as M
 from . import optim as O
+from . import pretrain as P
 from . import tensor as T
 from .rng import Rng
 from .tensor import Tensor
@@ -189,17 +190,13 @@ def params_digest(params):
 
 
 def _classifier_loss(logits, labels, task):
+    """Loss against one row of class weights per sample: one-hot or mixed
+    for singlelabel (softmax cross-entropy), 0/1 for multilabel."""
+    t = Tensor(np.asarray(labels, dtype=logits.data.dtype))
     if task == "multilabel":
         # one-vs-all logistic: mean(softplus(x) - t * x)
-        t = Tensor(np.asarray(labels, dtype=logits.data.dtype))
         return T.tmean(T.softplus(logits) - t * logits)
-    t = np.asarray(labels)
-    if t.ndim == 1:  # hard labels -> one-hot
-        onehot = np.zeros(logits.shape, dtype=logits.data.dtype)
-        onehot[np.arange(t.size), t.astype(int)] = 1.0
-        t = onehot
-    return -T.tmean(T.tsum(Tensor(t.astype(logits.data.dtype))
-                           * T.log_softmax(logits), axis=-1))
+    return -T.tmean(T.tsum(t * T.log_softmax(logits), axis=-1))
 
 
 def _evaluate_classifier(model, clf, entries, data_dir, pcfg, n_classes):
@@ -229,16 +226,16 @@ def _evaluate_classifier(model, clf, entries, data_dir, pcfg, n_classes):
 
 
 def _train_classifier(model, entries, data_dir, pcfg, n_classes, trainable_encoder):
-    """Shared loop behind probing and fine-tuning."""
+    """Shared loop behind probing and fine-tuning: SGD on a linear head over
+    the frozen encoder, or AdamW with layer decay (and mixup) on both."""
     rng = Rng(pcfg.seed).child("probe")
-    gen_init = rng.at(10_000_000)
     clf = {
-        "clf.w": Tensor(M.trunc_normal(gen_init, (model.config.enc_width, n_classes))
+        "clf.w": Tensor(M.trunc_normal(rng.at(10_000_000),
+                                       (model.config.enc_width, n_classes))
                         .astype(np.float32), requires_grad=True),
         "clf.b": Tensor(np.zeros(n_classes, dtype=np.float32), requires_grad=True),
     }
     params = dict(clf)
-    opt = None
     if trainable_encoder:
         # the encoder only: decoder, mask token and heads get no gradient
         params.update((n, p) for n, p in model.params.items()
@@ -246,50 +243,36 @@ def _train_classifier(model, entries, data_dir, pcfg, n_classes, trainable_encod
         opt = O.AdamW(params, lr=pcfg.lr, weight_decay=pcfg.weight_decay,
                       lr_scale=layer_decay_scales(model.config,
                                                   pcfg.layer_decay))
+        update = lambda lr: O.adamw_step(opt, lr=lr)
+    else:
+        update = lambda lr: O.sgd_step(clf, lr, weight_decay=pcfg.weight_decay)
 
     labels = _labels_for(entries, pcfg.task, n_classes)
-    n = len(entries)
-    steps_per_epoch = math.ceil(n / pcfg.batch_size)
+    if pcfg.task == "singlelabel":  # one-hot rows, which mixup can blend
+        labels = np.eye(n_classes, dtype=np.float32)[labels]
+    paths = [os.path.join(data_dir, e.path) for e in entries]
+    steps_per_epoch = math.ceil(len(entries) / pcfg.batch_size)
     schedule = O.LrSchedule(base_lr=pcfg.lr, warmup_steps=0,
                             total_steps=pcfg.epochs * steps_per_epoch)
     aug = D.AugmentationConfig(scale_min=pcfg.scale_min,
                                out_size=model.config.image_size)
-    step = 0
-    for epoch in range(pcfg.epochs):
-        order = rng.child("order").at(epoch).permutation(n)
-        for k in range(steps_per_epoch):
-            idx = order[k * pcfg.batch_size:(k + 1) * pcfg.batch_size]
-            imgs = []
-            for j, i in enumerate(idx):
-                gen = rng.child("sample").at(step * pcfg.batch_size + j)
-                img = D.read_tensor(os.path.join(data_dir, entries[i].path))
-                img = D.zero_pad_channels(img, model.config.in_channels)
-                img = D.random_resized_crop(img, aug, gen)
-                img = D.horizontal_flip(img, aug.hflip_prob, gen)
-                imgs.append(img)
-            batch = np.stack(imgs).astype(np.float32)
-            y = labels[idx]
-            if trainable_encoder and pcfg.mixup_alpha > 0:
-                y_soft = y
-                if pcfg.task == "singlelabel":
-                    y_soft = np.eye(n_classes, dtype=np.float32)[y]
-                batch, y, _ = D.mixup(batch, y_soft, pcfg.mixup_alpha,
-                                      rng.child("mixup").at(step))
-                batch = batch.astype(np.float32)
-            for p in params.values():
-                p.grad = None
+    for step in range(schedule.total_steps):
+        idx, gens = D.sample_plan(rng, len(entries), pcfg.batch_size, step)
+        batch = D.augmented_batch([paths[i] for i in idx], gens, aug,
+                                  model.config.in_channels)
+        y = labels[idx]
+        if trainable_encoder and pcfg.mixup_alpha > 0:
+            batch, y, _ = D.mixup(batch, y, pcfg.mixup_alpha,
+                                  rng.child("mixup").at(step))
+            batch = batch.astype(np.float32)
+
+        def loss_fn():
             # a frozen encoder runs without a tape
             with contextlib.nullcontext() if trainable_encoder else T.no_grad():
                 feats = model.encoder_features(Tensor(batch))
             logits = T.matmul(feats, clf["clf.w"]) + clf["clf.b"]
-            loss = _classifier_loss(logits, y, pcfg.task)
-            loss.backward()
-            lr = O.lr_at(step, schedule)
-            if trainable_encoder:
-                O.adamw_step(opt, lr=lr)
-            else:
-                O.sgd_step(clf, lr, weight_decay=pcfg.weight_decay)
-            step += 1
+            return _classifier_loss(logits, y, pcfg.task)
+        O.take_step(params, loss_fn, update, O.lr_at(step, schedule), step)
     return clf
 
 
@@ -315,8 +298,7 @@ def linear_probe_train(model, entries, data_dir, pcfg):
     before = params_digest(model.params)
     clf = _train_classifier(model, train, data_dir, pcfg, n_classes,
                             trainable_encoder=False)
-    after = params_digest(model.params)
-    if before != after:
+    if params_digest(model.params) != before:
         raise RuntimeError("probe mutated encoder parameters")
     return _evaluate_classifier(model, clf, held, data_dir, pcfg, n_classes)
 
@@ -338,8 +320,6 @@ def feature_ablation_study(base_cfg, specs, seeds, manifest_path, work_dir,
                            probe_cfg, include_random_init=False):
     """Pretrain + probe per (feature spec, seed); returns result rows
     (spec, seed, metric, value) plus per-spec mean summary rows."""
-    from . import pretrain as P
-
     if len(specs) < 2 and not include_random_init:
         raise ValueError("an ablation needs at least two feature specs")
     entries = D.read_manifest(manifest_path)

@@ -229,10 +229,6 @@ class FgMae:
     def n_parameters(self):
         return sum(p.size for p in self.params.values())
 
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
-
     def _block(self, prefix, x, heads):
         p = self.params
         h = T.layer_norm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])

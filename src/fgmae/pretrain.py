@@ -24,18 +24,7 @@ from . import features as F
 from . import model as M
 from . import optim as O
 from .rng import Rng
-from .tensor import Tensor, clip_global_norm, global_grad_norm
-
-
-class TrainingDiverged(RuntimeError):
-    """Raised when the loss goes non-finite; carries step/lr/grad-norm."""
-
-    def __init__(self, step, lr, grad_norm):
-        super().__init__(f"non-finite loss at step {step} (lr={lr:.3e}, "
-                         f"grad_norm={grad_norm:.3e})")
-        self.step = step
-        self.lr = lr
-        self.grad_norm = grad_norm
+from .tensor import Tensor
 
 
 @dataclass
@@ -183,57 +172,33 @@ class Trainer:
                                      total_steps=self.total_steps,
                                      min_lr=cfg.min_lr)
 
-    # -- data ----------------------------------------------------------------
-
-    def _epoch_order(self, epoch):
-        gen = self.rng.child("order").at(epoch)
-        return gen.permutation(len(self.locations))
-
-    def _load_scene(self, entry):
-        return D.read_tensor(os.path.join(self.data_dir, entry.path))
-
-    def _batch_for_step(self, step):
-        cfg = self.cfg
-        epoch = step // self.steps_per_epoch
-        k = step % self.steps_per_epoch
-        order = self._epoch_order(epoch)
-        idx = order[k * cfg.batch_size:(k + 1) * cfg.batch_size]
-        images = []
-        for j, loc_i in enumerate(idx):
-            gen = self.rng.child("sample").at(step * cfg.batch_size + j)
-            entry = D.select_season(self.entries, self.locations[loc_i], gen)
-            img = self._load_scene(entry)
-            img = D.random_resized_crop(img, cfg.augment, gen)
-            img = D.horizontal_flip(img, cfg.augment.hflip_prob, gen)
-            images.append(img)
-        return np.stack(images).astype(np.float32)
-
-    # -- optimization --------------------------------------------------------
-
     def train_step(self):
-        """One optimizer step; returns (lr, loss). Targets are computed from
-        the augmented view, then masked, forwarded and regressed."""
+        """One optimizer step; returns (lr, loss). Each sample's generator
+        picks its location's season, then crops and flips the scene; targets
+        are computed from the augmented view, then masked, forwarded and
+        regressed."""
         cfg = self.cfg
         step = self.step
-        batch = self._batch_for_step(step)
+        idx, gens = D.sample_plan(self.rng, len(self.locations),
+                                  cfg.batch_size, step)
+        scenes = [D.select_season(self.entries, self.locations[i], gen)
+                  for i, gen in zip(idx, gens)]
+        batch = D.augmented_batch(
+            [os.path.join(self.data_dir, e.path) for e in scenes], gens,
+            cfg.augment, cfg.model.in_channels)
         target = F.assemble_targets(batch, cfg.feature, cfg.model.patch_size)
         plan = M.random_masking_plan(batch.shape[0], cfg.model.n_patches,
                                      cfg.model.mask_ratio,
                                      self.rng.child("mask").at(step))
-        self.model.zero_grad()
-        pred = self.model.forward(Tensor(batch), plan)
-        loss = M.masked_l2_loss(pred, target, plan, cfg.head_weights)
-        loss_val = float(loss.data)
         lr = O.lr_at(step, self.schedule)
-        loss.backward()
-        if not np.isfinite(loss_val):
-            raise TrainingDiverged(step, lr, global_grad_norm(self.model.params))
-        if cfg.grad_clip > 0:  # scales the gradients in place
-            clip_global_norm(self.model.params, cfg.grad_clip)
-        O.adamw_step(self.opt, lr=lr)
+        loss = O.take_step(
+            self.model.params,
+            lambda: M.masked_l2_loss(self.model.forward(Tensor(batch), plan),
+                                     target, plan, cfg.head_weights),
+            lambda lr: O.adamw_step(self.opt, lr=lr), lr, step, cfg.grad_clip)
         self.step += 1
-        self.loss_log.append((step, lr, loss_val))
-        return lr, loss_val
+        self.loss_log.append((step, lr, loss))
+        return lr, loss
 
     def run(self, out_dir=None, max_steps=None):
         limit = self.total_steps if max_steps is None else min(max_steps, self.total_steps)
@@ -270,7 +235,6 @@ def pretrain_run(cfg, manifest_path, out_dir):
     """End-to-end pretraining from a manifest; returns the Trainer."""
     entries = D.read_manifest(manifest_path)
     data_dir = os.path.dirname(os.path.abspath(manifest_path))
-    os.makedirs(out_dir, exist_ok=True)
     trainer = Trainer(cfg, entries, data_dir)
     return trainer.run(out_dir=out_dir)
 

@@ -6,11 +6,19 @@ oracles are the compositions that fused tape ops replaced, kept to check
 that the fused ops match them bit for bit.
 """
 
+import contextlib
 import math
+import os
 
 import numpy as np
 
+from fgmae import data as D
+from fgmae import evaluate as E
+from fgmae import features as F
+from fgmae import model as M
+from fgmae import optim as O
 from fgmae import tensor as T
+from fgmae.rng import Rng
 
 
 # ---------------------------------------------------------------------------
@@ -279,3 +287,131 @@ def adamw_step_reference(params, grads, state, lr=None):
         scale = state.lr_scale.get(name, 1.0)
         wd = 0.0 if name in state.no_decay else state.weight_decay
         p.data = p.data - lr * scale * (m_hat / (np.sqrt(v_hat) + state.eps) + wd * p.data)
+
+
+# ---------------------------------------------------------------------------
+# Training-loop oracles: pretraining's step and the probe/fine-tune loop as
+# two hand-written loops, before they shared one sample plan, one batch
+# assembler and one step function
+
+
+def pretrain_step_reference(trainer):
+    """One ``Trainer.train_step`` with the batch assembled inline: epoch
+    permutation, per-sample generator, season, read, crop, flip; then zero
+    grad, forward, loss, backward, the non-finite check, optional clipping
+    and the AdamW step. Returns (lr, loss)."""
+    cfg = trainer.cfg
+    step = trainer.step
+    epoch = step // trainer.steps_per_epoch
+    k = step % trainer.steps_per_epoch
+    order = trainer.rng.child("order").at(epoch).permutation(len(trainer.locations))
+    idx = order[k * cfg.batch_size:(k + 1) * cfg.batch_size]
+    images = []
+    for j, loc_i in enumerate(idx):
+        gen = trainer.rng.child("sample").at(step * cfg.batch_size + j)
+        entry = D.select_season(trainer.entries, trainer.locations[loc_i], gen)
+        img = D.read_tensor(os.path.join(trainer.data_dir, entry.path))
+        img = D.random_resized_crop(img, cfg.augment, gen)
+        img = D.horizontal_flip(img, cfg.augment.hflip_prob, gen)
+        images.append(img)
+    batch = np.stack(images).astype(np.float32)
+    target = F.assemble_targets(batch, cfg.feature, cfg.model.patch_size)
+    plan = M.random_masking_plan(batch.shape[0], cfg.model.n_patches,
+                                 cfg.model.mask_ratio,
+                                 trainer.rng.child("mask").at(step))
+    for p in trainer.model.params.values():
+        p.grad = None
+    pred = trainer.model.forward(T.Tensor(batch), plan)
+    loss = M.masked_l2_loss(pred, target, plan, cfg.head_weights)
+    loss_val = float(loss.data)
+    lr = O.lr_at(step, trainer.schedule)
+    loss.backward()
+    if not np.isfinite(loss_val):
+        raise O.TrainingDiverged(step, lr,
+                                 T.global_grad_norm(trainer.model.params))
+    if cfg.grad_clip > 0:
+        T.clip_global_norm(trainer.model.params, cfg.grad_clip)
+    O.adamw_step(trainer.opt, lr=lr)
+    trainer.step += 1
+    trainer.loss_log.append((step, lr, loss_val))
+    return lr, loss_val
+
+
+def _classifier_loss_reference(logits, labels, task):
+    if task == "multilabel":
+        t = T.Tensor(np.asarray(labels, dtype=logits.data.dtype))
+        return T.tmean(T.softplus(logits) - t * logits)
+    t = np.asarray(labels)
+    if t.ndim == 1:  # hard labels -> one-hot
+        onehot = np.zeros(logits.shape, dtype=logits.data.dtype)
+        onehot[np.arange(t.size), t.astype(int)] = 1.0
+        t = onehot
+    return -T.tmean(T.tsum(T.Tensor(t.astype(logits.data.dtype))
+                           * T.log_softmax(logits), axis=-1))
+
+
+def train_classifier_reference(model, entries, data_dir, pcfg, n_classes,
+                               trainable_encoder):
+    """The probe (SGD, frozen encoder) and fine-tune (AdamW, layer decay,
+    mixup) loop with its batches assembled inline, epoch by epoch, and no
+    non-finite check. Returns the classifier parameters."""
+    rng = Rng(pcfg.seed).child("probe")
+    gen_init = rng.at(10_000_000)
+    clf = {
+        "clf.w": T.Tensor(M.trunc_normal(gen_init, (model.config.enc_width,
+                                                    n_classes))
+                          .astype(np.float32), requires_grad=True),
+        "clf.b": T.Tensor(np.zeros(n_classes, dtype=np.float32),
+                          requires_grad=True),
+    }
+    params = dict(clf)
+    opt = None
+    if trainable_encoder:
+        params.update((n, p) for n, p in model.params.items()
+                      if n.startswith(("embed.", "enc.")))
+        opt = O.AdamW(params, lr=pcfg.lr, weight_decay=pcfg.weight_decay,
+                      lr_scale=E.layer_decay_scales(model.config,
+                                                    pcfg.layer_decay))
+    labels = E._labels_for(entries, pcfg.task, n_classes)
+    n = len(entries)
+    steps_per_epoch = math.ceil(n / pcfg.batch_size)
+    schedule = O.LrSchedule(base_lr=pcfg.lr, warmup_steps=0,
+                            total_steps=pcfg.epochs * steps_per_epoch)
+    aug = D.AugmentationConfig(scale_min=pcfg.scale_min,
+                               out_size=model.config.image_size)
+    step = 0
+    for epoch in range(pcfg.epochs):
+        order = rng.child("order").at(epoch).permutation(n)
+        for k in range(steps_per_epoch):
+            idx = order[k * pcfg.batch_size:(k + 1) * pcfg.batch_size]
+            imgs = []
+            for j, i in enumerate(idx):
+                gen = rng.child("sample").at(step * pcfg.batch_size + j)
+                img = D.read_tensor(os.path.join(data_dir, entries[i].path))
+                img = D.zero_pad_channels(img, model.config.in_channels)
+                img = D.random_resized_crop(img, aug, gen)
+                img = D.horizontal_flip(img, aug.hflip_prob, gen)
+                imgs.append(img)
+            batch = np.stack(imgs).astype(np.float32)
+            y = labels[idx]
+            if trainable_encoder and pcfg.mixup_alpha > 0:
+                y_soft = y
+                if pcfg.task == "singlelabel":
+                    y_soft = np.eye(n_classes, dtype=np.float32)[y]
+                batch, y, _ = D.mixup(batch, y_soft, pcfg.mixup_alpha,
+                                      rng.child("mixup").at(step))
+                batch = batch.astype(np.float32)
+            for p in params.values():
+                p.grad = None
+            with contextlib.nullcontext() if trainable_encoder else T.no_grad():
+                feats = model.encoder_features(T.Tensor(batch))
+            logits = T.matmul(feats, clf["clf.w"]) + clf["clf.b"]
+            loss = _classifier_loss_reference(logits, y, pcfg.task)
+            loss.backward()
+            lr = O.lr_at(step, schedule)
+            if trainable_encoder:
+                O.adamw_step(opt, lr=lr)
+            else:
+                O.sgd_step(clf, lr, weight_decay=pcfg.weight_decay)
+            step += 1
+    return clf

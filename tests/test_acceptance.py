@@ -128,7 +128,6 @@ def test_criterion_3_autodiff_soundness():
         return M.masked_l2_loss(model.forward(Tensor(img), plan),
                                 target, plan).item()
 
-    model.zero_grad()
     M.masked_l2_loss(model.forward(Tensor(img), plan), target, plan).backward()
     h = 1e-6
     for name in ("embed.w", "enc.0.qkv.w", "enc.0.mlp1.w", "mask_token",
@@ -242,18 +241,16 @@ def test_criterion_6_overfit_sanity():
     opt = O.AdamW(model.params, lr=3e-3, beta2=0.95, weight_decay=0.0)
     sched = O.LrSchedule(base_lr=3e-3, min_lr=3e-3, warmup_steps=50,
                          total_steps=500)
-    first = last = None
-    for step in range(500):
+    losses = []
+    for step in range(500):  # through the step function training runs take
         plan = M.random_masking_plan(8, cfg.n_patches, 0.7,
                                      rng.child("mask").at(step))
-        model.zero_grad()
-        loss = M.masked_l2_loss(model.forward(Tensor(imgs.astype(np.float32)),
-                                              plan), target, plan)
-        loss.backward()
-        O.adamw_step(opt, lr=O.lr_at(step, sched))
-        if first is None:
-            first = loss.item()
-        last = loss.item()
+        losses.append(O.take_step(
+            model.params,
+            lambda: M.masked_l2_loss(model.forward(
+                Tensor(imgs.astype(np.float32)), plan), target, plan),
+            lambda lr: O.adamw_step(opt, lr=lr), O.lr_at(step, sched), step))
+    first, last = losses[0], losses[-1]
     assert last < 0.1 * first, f"ratio {last / first:.3f}"
     assert time.time() - t0 < 300.0
 

@@ -198,9 +198,19 @@ class TestPretrain:
         with np.errstate(all="ignore"):
             code, _, err = run_cli(["pretrain", "--config", cfg,
                                     "--out", str(tmp_path / "run")], capsys)
-        if code != 0:  # divergence may surface within the step budget
-            assert code == cli.EXIT_DIVERGED
-            assert err.startswith("error[loss]")
+        assert code == cli.EXIT_DIVERGED
+        assert err.startswith("error[loss]") and len(err.splitlines()) == 1
+
+    def test_fewer_bands_are_zero_padded(self, tmp_path, capsys, sar_dataset):
+        # a 13-channel model trains on 2-band SAR scenes, the rest zeros
+        cfg = _pretrain_config(tmp_path, os.path.join(sar_dataset, "manifest.csv"),
+                               model={**_MODEL, "in_channels": 13}, epochs=1,
+                               warmup_epochs=0)
+        code, out, err = run_cli(["pretrain", "--config", cfg,
+                                  "--out", str(tmp_path / "run")], capsys)
+        assert code == 0, err
+        loss = float(out.strip().splitlines()[-1].rsplit("loss=", 1)[1])
+        assert np.isfinite(loss)
 
 
 class TestConfigChecks:
@@ -302,32 +312,61 @@ class TestBadValues:
         "pretrain-empty-manifest": ("pretrain", {}, "empty", "io", "no rows"),
         "probe-empty-manifest": ("probe", {}, "empty", "io", "no rows"),
         "ablate-no-season": ("ablate", {}, "no-season", "io", "'season'"),
+        "probe-bad-label": ("probe", {}, "bad-label", "io", "label 'x'"),
+        "probe-missing-scene": ("probe", {}, "missing-scene", "io",
+                                "No such file"),
+        "finetune-missing-scene": ("finetune", {}, "missing-scene", "io",
+                                   "No such file"),
+        "finetune-truncated-scene": ("finetune", {}, "truncated-scene", "io",
+                                     "truncated payload"),
+        # the channel policy: more bands than the model's input channels
+        "pretrain-2-bands-into-1": ("pretrain",
+                                    {"model": {**_MODEL, "in_channels": 1}},
+                                    None, "geometry", "2 bands"),
+        "pretrain-13-bands-into-2": ("pretrain", {}, "ms", "geometry",
+                                     "13 bands"),
+        "probe-13-bands-into-2": ("probe", {"task": "multilabel"}, "ms",
+                                  "geometry", "13 bands"),
+        "finetune-13-bands-into-2": ("finetune", {"task": "multilabel"}, "ms",
+                                     "geometry", "13 bands"),
     }
-    CODES = {"config": cli.EXIT_CONFIG, "io": cli.EXIT_IO}
+    CODES = {"config": cli.EXIT_CONFIG, "io": cli.EXIT_IO,
+             "geometry": cli.EXIT_GEOMETRY}
 
     @staticmethod
-    def _manifest(tmp_path, source, damage):
+    def _manifest(tmp_path, data_dir, damage):
+        source = os.path.join(data_dir, "manifest.csv")
         if damage is None:
             return source
         rows = open(source).read().splitlines()
+        cells = [r.split(",") for r in rows]
         if damage == "no-season":
-            rows = [",".join(c for i, c in enumerate(r.split(",")) if i != 1)
-                    for r in rows]
+            cells = [c[:1] + c[2:] for c in cells]
         elif damage == "bad-season":
-            cells = rows[2].split(",")
-            rows[2] = ",".join(cells[:1] + ["spring"] + cells[2:])
-        else:
-            rows = rows[:1]
+            cells[2][1] = "spring"
+        elif damage == "bad-label":
+            cells[2][4] = "x"
+        elif damage == "empty":
+            cells = cells[:1]
+        else:  # the last scene, one of the probe's training scenes
+            for c in cells[1:]:
+                c[3] = os.path.join(data_dir, c[3])
+            bad = cells[-1][3] = str(tmp_path / "scene.fgmr")
+            if damage == "truncated-scene":
+                D.write_tensor(bad, np.ones((2, 32, 32), np.float32))
+                os.truncate(bad, os.path.getsize(bad) - 4)
         path = str(tmp_path / "manifest.csv")
-        open(path, "w").write("\n".join(rows) + "\n")
+        open(path, "w").write("\n".join(",".join(c) for c in cells) + "\n")
         return path
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_one_error_line_and_exit_code(self, tmp_path, capsys, sar_dataset,
-                                          demo_checkpoint, case):
+                                          ms_dataset, demo_checkpoint, case):
         command, overrides, damage, kind, match = self.CASES[case]
-        manifest = self._manifest(tmp_path, os.path.join(sar_dataset,
-                                                         "manifest.csv"), damage)
+        if damage == "ms":
+            manifest = os.path.join(ms_dataset, "manifest.csv")
+        else:
+            manifest = self._manifest(tmp_path, sar_dataset, damage)
         out = str(tmp_path / "out")
         if command in ("probe", "finetune"):
             cfg = str(tmp_path / "probe.json")
@@ -367,6 +406,20 @@ class TestProbeCommand:
         assert code == 0
         assert "OA=" in stdout
         assert open(report_csv).readline() == "metric,value\n"
+
+    def test_divergence_exit_code(self, tmp_path, capsys, sar_dataset,
+                                  demo_checkpoint):
+        probe_cfg = str(tmp_path / "probe.json")
+        json.dump({"task": "singlelabel", "epochs": 2, "batch_size": 4,
+                   "lr": 1e18}, open(probe_cfg, "w"))
+        with np.errstate(all="ignore"):
+            code, _, err = run_cli(["finetune", "--config", probe_cfg,
+                                    "--checkpoint", demo_checkpoint,
+                                    "--manifest",
+                                    os.path.join(sar_dataset, "manifest.csv")],
+                                   capsys)
+        assert code == cli.EXIT_DIVERGED
+        assert err.startswith("error[loss]") and len(err.splitlines()) == 1
 
     def test_bad_checkpoint_exits_io(self, tmp_path, capsys, sar_dataset):
         probe_cfg = str(tmp_path / "probe.json")
@@ -521,6 +574,17 @@ class TestRenderCommand:
                                capsys)
         assert code == cli.EXIT_GEOMETRY
         assert err.startswith("error[feature]")
+
+    def test_more_bands_than_the_model_is_geometry_error(
+            self, tmp_path, capsys, ms_dataset, demo_checkpoint):
+        scene = D.read_manifest(os.path.join(ms_dataset, "manifest.csv"))[0]
+        code, _, err = run_cli(["render", "--mode", "hog",
+                                "--in", os.path.join(ms_dataset, scene.path),
+                                "--out", str(tmp_path / "hog.ppm"),
+                                "--checkpoint", demo_checkpoint], capsys)
+        assert code == cli.EXIT_GEOMETRY
+        assert err.startswith("error[geometry]") and "13 bands" in err
+        assert len(err.splitlines()) == 1
 
     def test_ndi_requires_checkpoint(self, tmp_path, capsys):
         src = str(tmp_path / "s.fgmr")

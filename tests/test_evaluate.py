@@ -14,7 +14,7 @@ from fgmae import pretrain as P
 from fgmae.rng import Rng
 
 from oracles import (f1_reference, map_reference, miou_reference,
-                     oa_aa_reference)
+                     oa_aa_reference, train_classifier_reference)
 
 
 class TestMapMetric:
@@ -205,6 +205,32 @@ class TestProbeTraining:
         report = E.fine_tune(model, entries, data_dir, pcfg)
         assert E.params_digest(model.params) != before
         assert 0.0 <= report["OA"] <= 1.0
+
+    @pytest.mark.parametrize("trainable_encoder,task", [
+        (False, "singlelabel"), (True, "singlelabel"), (True, "multilabel")])
+    def test_matches_reference_loop(self, dataset, trainable_encoder, task):
+        # the shared plan, assembler and step against the hand-written loop
+        # they replaced (tests/oracles.py): SGD probe with weight decay, or
+        # fine-tune with layer decay and mixup; 24 scenes in batches of 5
+        manifest, data_dir = dataset
+        entries = D.read_manifest(manifest)
+        pcfg = E.ProbeConfig(task=task, epochs=2, batch_size=5,
+                             lr=1e-3 if trainable_encoder else 0.05,
+                             weight_decay=0.05, mixup_alpha=0.8, seed=1)
+        n_classes = D.SAR_CLASSES if task == "singlelabel" else D.MS_CLASSES
+        models = self._model(), self._model()
+        new = E._train_classifier(models[0], entries, data_dir, pcfg,
+                                  n_classes, trainable_encoder)
+        ref = train_classifier_reference(models[1], entries, data_dir, pcfg,
+                                         n_classes, trainable_encoder)
+        for a, b in ((new, ref), (models[0].params, models[1].params)):
+            assert list(a) == list(b)
+            for name in a:
+                assert a[name].data.dtype == np.float32
+                assert a[name].data.tobytes() == b[name].data.tobytes(), name
+        changed = E.params_digest(models[0].params) != \
+            E.params_digest(self._model().params)
+        assert changed == trainable_encoder
 
     def test_probe_deterministic(self, dataset):
         manifest, data_dir = dataset

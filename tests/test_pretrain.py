@@ -15,8 +15,11 @@ from fgmae import data as D
 from fgmae import evaluate as E
 from fgmae import features as F
 from fgmae import model as M
+from fgmae import optim as O
 from fgmae import pretrain as P
 from fgmae.evaluate import params_digest
+
+from oracles import pretrain_step_reference
 
 
 TINY_MODEL = M.ModelConfig(image_size=32, patch_size=8, in_channels=2,
@@ -352,13 +355,50 @@ class TestCheckpoint:
         assert params_digest(model.params) == params_digest(trainer.model.params)
 
 
-def _demo_trainer(tmp_path):
+def _demo_config():
     demo = os.path.join(os.path.dirname(__file__), "..", "demos",
                         "pretrain_config.json")
     with open(demo) as f:
-        cfg = P.from_dict(P.PretrainConfig, json.load(f))
+        return P.from_dict(P.PretrainConfig, json.load(f))
+
+
+def _demo_trainer(tmp_path):
     manifest = _dataset(tmp_path, n_locations=8)
-    return P.Trainer(cfg, D.read_manifest(manifest), os.path.dirname(manifest))
+    return P.Trainer(_demo_config(), D.read_manifest(manifest),
+                     os.path.dirname(manifest))
+
+
+class TestLoopOracle:
+    """The shared sample plan, batch assembler and step function against
+    the hand-written step they replaced (tests/oracles.py), bitwise."""
+
+    @pytest.mark.parametrize("grad_clip", [0.0, 0.05])
+    def test_matches_reference_across_resume(self, tmp_path, grad_clip):
+        # 12 locations in batches of 8: partial batches and 4 epoch turns
+        manifest = _dataset(tmp_path, n_locations=12)
+        entries, data_dir = D.read_manifest(manifest), os.path.dirname(manifest)
+        cfg = dataclasses.replace(_demo_config(), grad_clip=grad_clip)
+        ref = P.Trainer(cfg, entries, data_dir)
+        for _ in range(8):
+            pretrain_step_reference(ref)
+        new = P.Trainer(cfg, entries, data_dir)
+        for _ in range(5):
+            new.train_step()
+        new.save(str(tmp_path / "ckpt"))
+        new = P.Trainer.load(str(tmp_path / "ckpt"), entries, data_dir)
+        for _ in range(3):
+            new.train_step()
+        assert new.loss_log == ref.loss_log
+        assert new.step == ref.step == new.opt.t == ref.opt.t == 8
+        assert self._arrays(new) == self._arrays(ref)
+
+    @staticmethod
+    def _arrays(trainer):
+        """(kind, name) -> (dtype, bytes) of every parameter and moment."""
+        stores = {"param": {n: p.data for n, p in trainer.model.params.items()},
+                  "m": trainer.opt.m, "v": trainer.opt.v}
+        return {(kind, name): (a.dtype, a.tobytes())
+                for kind, store in stores.items() for name, a in store.items()}
 
 
 class TestMemory:
@@ -424,7 +464,7 @@ class TestFailure:
         cfg = _cfg(base_lr=1e18, warmup_epochs=0, epochs=50)
         entries = D.read_manifest(manifest)
         trainer = P.Trainer(cfg, entries, os.path.dirname(manifest))
-        with pytest.raises((P.TrainingDiverged, FloatingPointError)):
+        with pytest.raises((O.TrainingDiverged, FloatingPointError)):
             trainer.run()
 
     def test_augment_size_must_match_model(self):
