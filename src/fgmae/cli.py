@@ -2,16 +2,15 @@
 
 One binary, subcommands for the whole pipeline: data synthesis, feature
 extraction, pretraining, probing / fine-tuning, metrics, the ablation study
-and reconstruction rendering. Exit codes: 2 bad config/flags, 3 I/O
-failure, 4 feature/geometry mismatch, 5 non-finite loss; every failure
-prints one machine-parsable ``error[kind] reason`` line on stderr.
+and reconstruction rendering. Every failure prints one machine-parsable
+``error[kind] reason`` line on stderr and exits with its kind's code:
+config 2, io 3, feature and geometry 4, loss 5. ``main`` alone decides
+both, from the exception's type (``ERRORS``) or a ``CliError``'s kind.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import dataclasses
 import json
 import os
 import sys
@@ -31,53 +30,41 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_GEOMETRY = 4
 EXIT_DIVERGED = 5
+EXIT_CODES = {"config": EXIT_CONFIG, "io": EXIT_IO, "feature": EXIT_GEOMETRY,
+              "geometry": EXIT_GEOMETRY, "loss": EXIT_DIVERGED}
+# exception type -> error kind, first match wins; any other type is a bug
+ERRORS = {P.ConfigError: "config", O.TrainingDiverged: "loss",
+          FloatingPointError: "loss", D.ChannelError: "geometry",
+          OSError: "io", D.ContainerError: "io", P.CheckpointError: "io"}
 
 
 class CliError(Exception):
-    def __init__(self, kind, message, code):
+    """A failure whose kind the command names itself."""
+
+    def __init__(self, kind, message):
         super().__init__(message)
         self.kind = kind
-        self.code = code
 
 
-def _fail(kind, message, code):
-    raise CliError(kind, message, code)
-
-
-@contextlib.contextmanager
-def _training_errors():
-    """A training run's failures as one error line each: divergence, scenes
-    with more bands than the model takes, unreadable scenes or manifests."""
-    try:
-        yield
-    except (O.TrainingDiverged, FloatingPointError) as exc:
-        _fail("loss", str(exc), EXIT_DIVERGED)
-    except D.ChannelError as exc:
-        _fail("geometry", str(exc), EXIT_GEOMETRY)
-    except (OSError, D.ContainerError) as exc:
-        _fail("io", str(exc), EXIT_IO)
+def _fail(kind, message):
+    raise CliError(kind, message)
 
 
 # ---------------------------------------------------------------------------
 # configs
 
 
-def _config(build, *args, **kwargs):
-    """``build(*args, **kwargs)``; a ValueError exits as a config error."""
-    try:
-        return build(*args, **kwargs)
-    except ValueError as exc:
-        _fail("config", str(exc), EXIT_CONFIG)
-
-
 def _load_json(path):
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except OSError as exc:
-        _fail("io", f"cannot read config {path}: {exc}", EXIT_IO)
-    except json.JSONDecodeError as exc:
-        _fail("config", f"malformed JSON in {path}: {exc}", EXIT_CONFIG)
+    """The JSON object in ``path``; other JSON is a config error."""
+    with open(path) as f:
+        try:
+            raw = json.load(f)
+        except json.JSONDecodeError as exc:
+            _fail("config", f"malformed JSON in {path}: {exc}")
+    if not isinstance(raw, dict):
+        _fail("config", f"{path} must hold a JSON object, not a "
+              f"{type(raw).__name__}")
+    return raw
 
 
 def _default_seed(args):
@@ -92,23 +79,18 @@ def _default_seed(args):
 
 
 def cmd_synth(args):
-    if args.n < 1:
-        _fail("config", "--n must be >= 1", EXIT_CONFIG)
-    try:
-        manifest = D.synthesize_dataset(args.out, args.modality, args.n,
-                                        _default_seed(args), looks=args.looks,
-                                        size=args.size)
-    except OSError as exc:
-        _fail("io", f"cannot write dataset: {exc}", EXIT_IO)
+    for flag in ("n", "looks"):
+        if getattr(args, flag) < 1:
+            _fail("config", f"--{flag} must be >= 1")
+    manifest = D.synthesize_dataset(args.out, args.modality, args.n,
+                                    _default_seed(args), looks=args.looks,
+                                    size=args.size)
     print(f"wrote {args.n * 4} scenes, manifest {manifest}")
     return 0
 
 
 def cmd_extract(args):
-    try:
-        image = D.read_tensor(args.infile)
-    except (OSError, D.ContainerError) as exc:
-        _fail("io", f"cannot read {args.infile}: {exc}", EXIT_IO)
+    image = D.read_tensor(args.infile)
     if image.ndim == 3:
         image = image[None]
     bands = F.BandMap()
@@ -117,8 +99,7 @@ def cmd_extract(args):
             nir, red, green, swir = (int(x) for x in args.band_map.split(","))
             bands = F.BandMap(nir=nir, red=red, green=green, swir=swir)
         except ValueError:
-            _fail("config", "--band-map wants four comma-separated indices",
-                  EXIT_CONFIG)
+            _fail("config", "--band-map wants four comma-separated indices")
     try:
         if args.feature == "ndi":
             out = F.compute_ndi(image, bands)
@@ -129,76 +110,52 @@ def cmd_extract(args):
         else:
             out = F.compute_dense_sift(image)
     except ValueError as exc:
-        _fail("feature", str(exc), EXIT_GEOMETRY)
+        _fail("feature", str(exc))
     out = out[0] if out.shape[0] == 1 else out
-    try:
-        D.write_tensor(args.out, out.astype(np.float32))
-    except OSError as exc:
-        _fail("io", f"cannot write {args.out}: {exc}", EXIT_IO)
+    D.write_tensor(args.out, out.astype(np.float32))
     print(f"dims {tuple(out.shape)}")
     return 0
 
 
-def _pretrain_config(args):
-    raw = _load_json(args.config)
-    manifest = raw.pop("manifest", None)
-    cfg = _config(P.from_dict, P.PretrainConfig, raw)
-    if getattr(args, "manifest", None):
-        manifest = args.manifest
-    if manifest is None:
-        _fail("config", "no manifest given (config key or --manifest)", EXIT_CONFIG)
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "epochs", None) is not None:
-        overrides["epochs"] = args.epochs
+def _parse(cls, raw, args, flags):
+    """``cls`` from ``raw`` with the given flags' values merged in; the
+    flags set are logged once the whole config has parsed."""
+    overrides = {k: getattr(args, k) for k in flags
+                 if getattr(args, k) is not None}
+    cfg = P.from_dict(cls, {**raw, **overrides})
     if overrides:
-        cfg = _config(dataclasses.replace, cfg, **overrides)
         print(f"flag overrides: {overrides}", file=sys.stderr)
-    return cfg, manifest
+    return cfg
 
 
 def cmd_pretrain(args):
-    cfg, manifest = _pretrain_config(args)
+    raw = _load_json(args.config)
+    manifest = raw.pop("manifest", None)
+    manifest = args.manifest or manifest
+    if not isinstance(manifest, str):
+        _fail("config", "no manifest path given (config key or --manifest), "
+              f"got {manifest!r}")
+    cfg = _parse(P.PretrainConfig, raw, args, ("seed", "epochs"))
     print(f"config_digest={cfg.digest()}")
-    with _training_errors():
-        trainer = P.pretrain_run(cfg, manifest, args.out)
+    trainer = P.pretrain_run(cfg, manifest, args.out)
     final = trainer.loss_log[-1]
     print(f"final step={final[0]} lr={final[1]:.6e} loss={final[2]:.6f}")
     return 0
 
 
-def _probe_setup(args):
-    raw = _load_json(args.config)
-    pcfg = _config(P.from_dict, E.ProbeConfig, raw)
-    if getattr(args, "seed", None) is not None:
-        pcfg = dataclasses.replace(pcfg, seed=args.seed)
-        print(f"flag overrides: seed={args.seed}", file=sys.stderr)
-    try:
-        model = P.load_model(args.checkpoint)
-        entries = D.read_manifest(args.manifest)
-    except (OSError, P.CheckpointError, D.ContainerError) as exc:
-        _fail("io", str(exc), EXIT_IO)
+def cmd_transfer(args):
+    """Probe or fine-tune (``args.train``) a checkpoint; report metrics."""
+    pcfg = _parse(E.ProbeConfig, _load_json(args.config), args, ("seed",))
+    model = P.load_model(args.checkpoint)
+    entries = D.read_manifest(args.manifest)
     data_dir = os.path.dirname(os.path.abspath(args.manifest))
-    return model, entries, data_dir, pcfg
-
-
-def _report_out(report, out):
-    lines = [f"{k}={v:.6f}" for k, v in report.values.items()]
-    print(" ".join(lines))
-    if out:
-        with open(out, "w") as f:
+    report = args.train(model, entries, data_dir, pcfg)
+    print(" ".join(f"{k}={v:.6f}" for k, v in report.values.items()))
+    if args.out:
+        with open(args.out, "w") as f:
             f.write("metric,value\n")
             for k, v in report.values.items():
                 f.write(f"{k},{v!r}\n")
-
-
-def cmd_transfer(args):
-    """Probe or fine-tune (``args.train``) a checkpoint; report metrics."""
-    model, entries, data_dir, pcfg = _probe_setup(args)
-    with _training_errors():
-        report = args.train(model, entries, data_dir, pcfg)
-    _report_out(report, args.out)
     return 0
 
 
@@ -212,25 +169,21 @@ def cmd_ablate(args):
     if not (isinstance(spec_names, list) and spec_names
             and all(isinstance(s, str) for s in spec_names)):
         _fail("config", "ablation config needs 'specs', a non-empty list of "
-              f"variant names, got {spec_names!r}", EXIT_CONFIG)
+              f"variant names, got {spec_names!r}")
     if not (isinstance(seeds, list) and all(type(s) is int for s in seeds)):
-        _fail("config", f"'seeds' must be a list of integers, got {seeds!r}",
-              EXIT_CONFIG)
+        _fail("config", f"'seeds' must be a list of integers, got {seeds!r}")
     if not isinstance(include_random, bool):
         _fail("config", "'include_random_init' must be true or false, got "
-              f"{include_random!r}", EXIT_CONFIG)
-    base_cfg = _config(P.from_dict, P.PretrainConfig, raw)
-    probe_cfg = _config(P.from_dict, E.ProbeConfig, probe_raw, "config.probe")
-    specs = []
-    for name in spec_names:
-        spec = _config(dataclasses.replace, base_cfg.feature, variant=name)
-        _config(dataclasses.replace, base_cfg, feature=spec)  # checks the arm
-        specs.append(spec)
+              f"{include_random!r}")
+    base_cfg = P.from_dict(P.PretrainConfig, raw)
+    probe_cfg = P.from_dict(E.ProbeConfig, probe_raw, "config.probe")
+    feature = raw.get("feature", {})
+    specs = [P.from_dict(P.PretrainConfig, {**raw, "feature": {
+        **feature, "variant": name}}).feature for name in spec_names]
     print(f"config_digest={base_cfg.digest()}")
-    with _training_errors():
-        rows = E.feature_ablation_study(base_cfg, specs, seeds, args.manifest,
-                                        args.out, probe_cfg,
-                                        include_random_init=include_random)
+    rows = E.feature_ablation_study(base_cfg, specs, seeds, args.manifest,
+                                    args.out, probe_cfg,
+                                    include_random_init=include_random)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "ablation.csv")
     E.write_ablation_csv(csv_path, rows)
@@ -240,53 +193,51 @@ def cmd_ablate(args):
 
 
 def cmd_metrics(args):
+    pred = D.read_tensor(args.pred)
+    label = D.read_tensor(args.label)
     try:
-        pred = D.read_tensor(args.pred)
-        label = D.read_tensor(args.label)
-    except (OSError, D.ContainerError) as exc:
-        _fail("io", str(exc), EXIT_IO)
-    if args.task == "miou":
-        oa, aa, miou = E.metric_miou(pred.astype(np.int64), label.astype(np.int64),
-                                     args.n_classes, args.ignore_index)
-        print(f"OA={oa:.6f} AA={aa:.6f} mIoU={miou:.6f}")
-    elif args.task == "multilabel":
-        mAP, _ = E.metric_map(pred, label)
-        f1, _ = E.metric_f1((pred >= 0.5).astype(int), label.astype(int))
-        print(f"mAP={mAP:.6f} macro_f1={f1:.6f}")
-    else:
-        oa, aa = E.metric_oa_aa(pred.astype(np.int64).ravel(),
-                                label.astype(np.int64).ravel())
-        print(f"OA={oa:.6f} AA={aa:.6f}")
+        if args.task == "miou":
+            oa, aa, miou = E.metric_miou(pred.astype(np.int64),
+                                         label.astype(np.int64),
+                                         args.n_classes, args.ignore_index)
+            print(f"OA={oa:.6f} AA={aa:.6f} mIoU={miou:.6f}")
+        elif args.task == "multilabel":
+            mAP, _ = E.metric_map(pred, label)
+            f1, _ = E.metric_f1((pred >= 0.5).astype(int), label.astype(int))
+            print(f"mAP={mAP:.6f} macro_f1={f1:.6f}")
+        else:
+            oa, aa = E.metric_oa_aa(pred.astype(np.int64).ravel(),
+                                    label.astype(np.int64).ravel())
+            print(f"OA={oa:.6f} AA={aa:.6f}")
+    except ValueError as exc:
+        _fail("geometry", f"cannot score {args.pred} against {args.label}: "
+              f"{exc}")
     return 0
 
 
 def cmd_render(args):
-    try:
-        image = D.read_tensor(args.infile)
-    except (OSError, D.ContainerError) as exc:
-        _fail("io", str(exc), EXIT_IO)
+    image = D.read_tensor(args.infile)
     if image.ndim == 3:
         image = image[None]
     if args.mode == "sar":
+        if image.ndim != 4 or image.shape[1] < 2:
+            _fail("geometry", f"{args.infile} holds {image.shape[-3:]}; a "
+                  "SAR composite needs 2 bands (VV, VH)")
         rgb = M.render_sar_composite(image)[0]
     else:  # ndi or hog: a reconstruction by one of the checkpoint's heads
         if not args.checkpoint:
-            _fail("config", f"--checkpoint required for mode {args.mode}",
-                  EXIT_CONFIG)
+            _fail("config", f"--checkpoint required for mode {args.mode}")
+        model, _, _, _, run_cfg, _ = P.load_checkpoint(args.checkpoint,
+                                                        moments=False)
         try:
-            model, _, _, _, run_cfg, _ = P.load_checkpoint(args.checkpoint,
-                                                            moments=False)
             run_cfg = P.from_dict(P.PretrainConfig, run_cfg)
-        except (OSError, P.CheckpointError, D.ContainerError, ValueError) as exc:
-            _fail("io", str(exc), EXIT_IO)
+        except P.ConfigError as exc:
+            _fail("io", f"{args.checkpoint} holds an unusable run config: {exc}")
         if args.mode not in model.heads:
-            _fail("feature", f"checkpoint has no {args.mode} head",
-                  EXIT_GEOMETRY)
+            _fail("feature", f"checkpoint has no {args.mode} head")
         cfg = model.config
-        try:  # the probe's evaluation view: zero-padded, resized
-            image = np.stack([E._eval_view(im, cfg) for im in image])
-        except D.ChannelError as exc:
-            _fail("geometry", str(exc), EXIT_GEOMETRY)
+        # the probe's evaluation view: zero-padded, resized
+        image = np.stack([E._eval_view(im, cfg) for im in image])
         gen = Rng(_default_seed(args)).child("render").at(0)
         plan = M.random_masking_plan(image.shape[0], cfg.n_patches,
                                      cfg.mask_ratio, gen)
@@ -306,10 +257,7 @@ def cmd_render(args):
             field = arr[0].transpose(2, 0, 3, 1, 4, 5).reshape(
                 c, grid * cells, grid * cells, nb)
             rgb = M.render_hog_glyphs(np.clip(field[0], 0.0, None))
-    try:
-        D.write_ppm(args.out, rgb)
-    except OSError as exc:
-        _fail("io", str(exc), EXIT_IO)
+    D.write_ppm(args.out, rgb)
     print(f"wrote {args.out}")
     return 0
 
@@ -386,13 +334,14 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error[{exc.kind}] {exc}", file=sys.stderr)
-        return exc.code
+    except (CliError, *ERRORS) as exc:
+        kind = exc.kind if isinstance(exc, CliError) else next(
+            k for t, k in ERRORS.items() if isinstance(exc, t))
+        print(f"error[{kind}] {exc}", file=sys.stderr)
+        return EXIT_CODES[kind]
 
 
 if __name__ == "__main__":

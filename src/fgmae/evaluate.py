@@ -46,6 +46,9 @@ def metric_map(scores, labels):
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
+    if scores.ndim != 2 or scores.shape != labels.shape:
+        raise ValueError(f"need 2-D scores and labels of one shape, got "
+                         f"{scores.shape} and {labels.shape}")
     n, k = scores.shape
     per_class = []
     valid = []
@@ -85,6 +88,8 @@ def metric_oa_aa(pred, labels):
     """Overall accuracy and unweighted mean of per-class recalls."""
     pred = np.asarray(pred)
     labels = np.asarray(labels)
+    if pred.shape != labels.shape:
+        raise ValueError(f"shapes disagree: {pred.shape} and {labels.shape}")
     if pred.size == 0:
         raise ValueError("empty input")
     oa = float(np.mean(pred == labels))
@@ -101,6 +106,8 @@ def metric_miou(pred_mask, label_mask, n_classes, ignore_index=None):
     pixels are excluded everywhere."""
     pred = np.asarray(pred_mask).ravel()
     label = np.asarray(label_mask).ravel()
+    if pred.size != label.size:
+        raise ValueError(f"sizes disagree: {pred.size} and {label.size}")
     if ignore_index is not None:
         keep = label != ignore_index
         pred, label = pred[keep], label[keep]
@@ -164,9 +171,14 @@ def _split_entries(entries, every_n):
 
 
 def _labels_for(entries, task, n_classes):
+    """The entries' targets; a label outside the task's classes is a
+    ContainerError naming its scene."""
     out = np.zeros((len(entries), n_classes), dtype=np.float32)
     for i, e in enumerate(entries):
         for c in e.label_list():
+            if not 0 <= c < n_classes:
+                raise D.ContainerError(f"scene {e.path}: label {c} is not "
+                                       f"among the {n_classes} {task} classes")
             out[i, c] = 1.0
     if task == "singlelabel":
         return out.argmax(axis=1)
@@ -294,6 +306,7 @@ def layer_decay_scales(model_cfg, decay):
 def linear_probe_train(model, entries, data_dir, pcfg):
     """Frozen-encoder linear probe; encoder parameters are bitwise unchanged."""
     n_classes = D.SAR_CLASSES if pcfg.task == "singlelabel" else D.MS_CLASSES
+    _labels_for(entries, pcfg.task, n_classes)  # every label, before a step
     train, held = _split_entries(entries, pcfg.eval_every_n)
     before = params_digest(model.params)
     clf = _train_classifier(model, train, data_dir, pcfg, n_classes,
@@ -306,6 +319,7 @@ def linear_probe_train(model, entries, data_dir, pcfg):
 def fine_tune(model, entries, data_dir, pcfg):
     """End-to-end fine-tuning with AdamW, layer-wise lr decay and mixup."""
     n_classes = D.SAR_CLASSES if pcfg.task == "singlelabel" else D.MS_CLASSES
+    _labels_for(entries, pcfg.task, n_classes)  # every label, before a step
     train, held = _split_entries(entries, pcfg.eval_every_n)
     clf = _train_classifier(model, train, data_dir, pcfg, n_classes,
                             trainable_encoder=True)
@@ -321,7 +335,7 @@ def feature_ablation_study(base_cfg, specs, seeds, manifest_path, work_dir,
     """Pretrain + probe per (feature spec, seed); returns result rows
     (spec, seed, metric, value) plus per-spec mean summary rows."""
     if len(specs) < 2 and not include_random_init:
-        raise ValueError("an ablation needs at least two feature specs")
+        raise P.ConfigError("an ablation needs at least two feature specs")
     entries = D.read_manifest(manifest_path)
     data_dir = os.path.dirname(os.path.abspath(manifest_path))
     metric_name = "OA" if probe_cfg.task == "singlelabel" else "mAP"

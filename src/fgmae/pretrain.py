@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import os
-import warnings
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -75,17 +74,21 @@ class PretrainConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
+class ConfigError(ValueError):
+    """A config that ``from_dict`` cannot build, naming where it fails."""
+
+
 def from_dict(cls, d, path="config"):
     """Build config dataclass ``cls`` from a JSON-style dict, with the nested
     blocks its fields' default factories name. Keys left out keep their
     defaults; an unknown key, a value of the wrong type (see ``_check``)
-    or an invalid value is a ValueError naming where it sits."""
+    or an invalid value is a ConfigError naming where it sits."""
     if not isinstance(d, dict):
-        raise ValueError(f"{path} must be an object")
+        raise ConfigError(f"{path} must be an object")
     table = _fields(cls)
     unknown = set(d) - set(table)
     if unknown:
-        raise ValueError(f"unknown key(s) {sorted(unknown)} in {path}")
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {path}")
     kwargs = {}
     for name, value in d.items():
         nested, default = table[name]
@@ -98,7 +101,7 @@ def from_dict(cls, d, path="config"):
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"invalid {path}: {exc}") from None
+        raise ConfigError(f"invalid {path}: {exc}") from None
 
 
 @functools.cache
@@ -123,8 +126,8 @@ def _check(value, default, where):
     value, a list made a tuple."""
     if isinstance(default, tuple):
         if not isinstance(value, (list, tuple)) or len(value) != len(default):
-            raise ValueError(f"{where} must be a list of {len(default)}, "
-                             f"got {value!r}")
+            raise ConfigError(f"{where} must be a list of {len(default)}, "
+                              f"got {value!r}")
         return tuple(_check(v, dv, f"{where}[{i}]")
                      for i, (v, dv) in enumerate(zip(value, default)))
     if isinstance(default, int):
@@ -135,7 +138,7 @@ def _check(value, default, where):
     else:
         ok, kind = isinstance(value, type(default)), f"a {type(default).__name__}"
     if not ok:
-        raise ValueError(f"{where} must be {kind}, got {value!r}")
+        raise ConfigError(f"{where} must be {kind}, got {value!r}")
     return value
 
 
@@ -221,10 +224,9 @@ class Trainer:
                         self.cfg)
 
     @classmethod
-    def load(cls, path, entries, data_dir, cfg=None):
-        model, opt, step, loss_log, stored_cfg, _ = load_checkpoint(path, cfg)
-        if cfg is None:
-            cfg = from_dict(PretrainConfig, stored_cfg)
+    def load(cls, path, entries, data_dir):
+        model, opt, step, loss_log, stored_cfg, _ = load_checkpoint(path)
+        cfg = from_dict(PretrainConfig, stored_cfg)
         trainer = cls(cfg, entries, data_dir, model=model, opt=opt)
         trainer.step = step
         trainer.loss_log = list(loss_log)
@@ -289,7 +291,7 @@ def save_checkpoint(path, model, opt, step, loss_log, cfg):
     os.replace(tmp, os.path.join(path, "index.json"))
 
 
-def load_checkpoint(path, cfg=None, moments=True):
+def load_checkpoint(path, moments=True):
     """Rebuild (model, optimizer state, step, loss log, config dict, index).
 
     Each parameter and moment payload is read straight into its view of a
@@ -298,8 +300,7 @@ def load_checkpoint(path, cfg=None, moments=True):
     None. An index.json that is missing, malformed, of another format or
     short of a key is a CheckpointError, and so is a missing file, which
     names its parameter; a payload whose shape or dtype does not match the
-    index is a ContainerError naming its file. A config-digest mismatch
-    only warns.
+    index is a ContainerError naming its file.
     """
     try:
         with open(os.path.join(path, "index.json")) as f:
@@ -321,13 +322,9 @@ def load_checkpoint(path, cfg=None, moments=True):
         has_moments = index["optimizer"]["has_moments"]
         step = int(index["step"])
         loss_log = [(int(s), float(lr), float(lo)) for s, lr, lo in index["loss_log"]]
-        digest = index["config_digest"]
         stored_cfg = index["config"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"invalid index.json under {path}: {exc!r}") from None
-    if cfg is not None and cfg.digest() != digest:
-        warnings.warn(f"checkpoint config digest {digest} does not "
-                      f"match the supplied config {cfg.digest()}", stacklevel=2)
     opt = None
     if moments:
         opt = O.AdamW(model.params, **opt_args, copy=False)

@@ -10,6 +10,7 @@ import pytest
 from fgmae import cli
 from fgmae import data as D
 from fgmae import optim as O
+from fgmae import pretrain as P
 
 DEMOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "demos")
 
@@ -281,13 +282,22 @@ class TestConfigChecks:
 
 
 class TestBadValues:
-    """Config values and manifests that ended in a traceback: each is one
+    """Configs, manifests and inputs that ended in a traceback: each is one
     error[kind] line and the documented exit code."""
 
-    # case -> (command, config overrides, manifest damage, kind, match)
+    # case -> (command, config overrides, manifest damage, kind, match);
+    # overrides that are not a dict are the whole config file
     CASES = {
         "epochs-0": ("pretrain", {"epochs": 0, "warmup_epochs": 0}, None,
                      "config", "epochs"),
+        "pretrain-config-a-list": ("pretrain", [1, 2], None, "config",
+                                   "JSON object"),
+        "ablate-config-a-list": ("ablate", [1, 2], None, "config",
+                                 "JSON object"),
+        "ablate-one-spec": ("ablate", {"specs": ["hog"]}, None, "config",
+                            "two feature specs"),
+        "pretrain-manifest-a-list": ("pretrain", {"manifest": ["a.csv"]}, None,
+                                     "config", "manifest path"),
         "probe-batch-size-0": ("probe", {"batch_size": 0}, None,
                                "config", "batch size"),
         "probe-eval-every-n-0": ("probe", {"eval_every_n": 0}, None,
@@ -313,6 +323,10 @@ class TestBadValues:
         "probe-empty-manifest": ("probe", {}, "empty", "io", "no rows"),
         "ablate-no-season": ("ablate", {}, "no-season", "io", "'season'"),
         "probe-bad-label": ("probe", {}, "bad-label", "io", "label 'x'"),
+        # single-label classes are 0..5: MS labels run to 7, and -1 is none
+        "probe-singlelabel-on-ms": ("probe", {}, "ms", "io", "label 7"),
+        "finetune-negative-label": ("finetune", {}, "label--1", "io",
+                                    "label -1"),
         "probe-missing-scene": ("probe", {}, "missing-scene", "io",
                                 "No such file"),
         "finetune-missing-scene": ("finetune", {}, "missing-scene", "io",
@@ -340,17 +354,19 @@ class TestBadValues:
             return source
         rows = open(source).read().splitlines()
         cells = [r.split(",") for r in rows]
+        for c in cells[1:]:
+            c[3] = os.path.join(data_dir, c[3])
         if damage == "no-season":
             cells = [c[:1] + c[2:] for c in cells]
         elif damage == "bad-season":
             cells[2][1] = "spring"
         elif damage == "bad-label":
             cells[2][4] = "x"
+        elif damage == "label--1":
+            cells[1][4] = "-1"  # location 0: held out from training
         elif damage == "empty":
             cells = cells[:1]
         else:  # the last scene, one of the probe's training scenes
-            for c in cells[1:]:
-                c[3] = os.path.join(data_dir, c[3])
             bad = cells[-1][3] = str(tmp_path / "scene.fgmr")
             if damage == "truncated-scene":
                 D.write_tensor(bad, np.ones((2, 32, 32), np.float32))
@@ -375,9 +391,15 @@ class TestBadValues:
             argv = [command, "--config", cfg, "--checkpoint", demo_checkpoint,
                     "--manifest", manifest]
         else:
-            if command == "ablate":
-                overrides = {"specs": ["hog", "raw"], "seeds": [0], **overrides}
-            cfg = _pretrain_config(tmp_path, manifest, **overrides)
+            if not isinstance(overrides, dict):
+                cfg = str(tmp_path / "pretrain.json")
+                json.dump(overrides, open(cfg, "w"))
+            else:
+                if command == "ablate":
+                    overrides = {"specs": ["hog", "raw"], "seeds": [0],
+                                 **overrides}
+                cfg = _pretrain_config(tmp_path,
+                                       **{"manifest": manifest, **overrides})
             argv = [command, "--config", cfg, "--out", out]
             if command == "ablate":
                 argv += ["--manifest", manifest]
@@ -386,6 +408,96 @@ class TestBadValues:
         assert err.startswith(f"error[{kind}]") and len(err.splitlines()) == 1
         assert "Traceback" not in err and match in err
         assert not os.path.exists(out)
+
+    METRICS = ["metrics", "--pred", "{tmp}/pred.fgmr",
+               "--label", "{tmp}/label.fgmr", "--task"]
+    # case -> (argv, tensors written to {tmp}/<name>.fgmr, kind, match)
+    INPUTS = {
+        "synth-looks-0": (["synth", "--modality", "SAR", "--out", "{tmp}/out",
+                           "--n", "1", "--looks", "0"], {}, "config",
+                          "--looks"),
+        "metrics-miou-sizes-disagree": (
+            METRICS + ["miou"], {"pred": np.zeros((2, 2)), "label": np.zeros(3)},
+            "geometry", "sizes disagree"),
+        "metrics-miou-all-ignored": (
+            METRICS + ["miou", "--ignore-index", "1"],
+            {"pred": np.ones(4), "label": np.ones(4)}, "geometry",
+            "no valid pixels"),
+        "metrics-singlelabel-empty": (
+            METRICS + ["singlelabel"], {"pred": np.zeros(0), "label": np.zeros(0)},
+            "geometry", "empty"),
+        "metrics-singlelabel-sizes-disagree": (
+            METRICS + ["singlelabel"], {"pred": np.zeros(3), "label": np.zeros(2)},
+            "geometry", "disagree"),
+        "metrics-multilabel-1-d": (
+            METRICS + ["multilabel"], {"pred": np.zeros(4), "label": np.ones(4)},
+            "geometry", "2-D"),
+        "metrics-multilabel-shapes-disagree": (
+            METRICS + ["multilabel"],
+            {"pred": np.zeros((4, 3)), "label": np.ones((4, 2))},
+            "geometry", "(4, 3) and (4, 2)"),
+        "metrics-multilabel-no-positive": (
+            METRICS + ["multilabel"],
+            {"pred": np.zeros((4, 3)), "label": np.zeros((4, 3))},
+            "geometry", "positive"),
+        "render-sar-1-band": (["render", "--mode", "sar", "--in",
+                               "{tmp}/scene.fgmr", "--out", "{tmp}/out"],
+                              {"scene": np.ones((1, 16, 16))}, "geometry",
+                              "2 bands"),
+        "probe-out-missing-dir": (["probe", "--config", "{tmp}/probe.json",
+                                   "--checkpoint", "{ckpt}", "--manifest",
+                                   "{manifest}", "--out", "{tmp}/no/out"],
+                                  {}, "io", "No such file"),
+    }
+
+    @pytest.mark.parametrize("case", list(INPUTS))
+    def test_bad_input_one_error_line(self, tmp_path, capsys, sar_dataset,
+                                      demo_checkpoint, case):
+        argv, tensors, kind, match = self.INPUTS[case]
+        for name, array in tensors.items():
+            D.write_tensor(str(tmp_path / f"{name}.fgmr"),
+                           array.astype(np.float32))
+        json.dump({"task": "singlelabel", "epochs": 1, "batch_size": 4},
+                  open(tmp_path / "probe.json", "w"))
+        argv = [a.format(tmp=tmp_path, ckpt=demo_checkpoint,
+                         manifest=os.path.join(sar_dataset, "manifest.csv"))
+                for a in argv]
+        code, _, err = run_cli(argv, capsys)
+        assert code == self.CODES[kind]
+        assert err.startswith(f"error[{kind}]") and len(err.splitlines()) == 1
+        assert "Traceback" not in err and match in err
+        assert not os.path.exists(tmp_path / "out")
+
+
+class TestErrorTable:
+    """``main`` alone turns an exception into an error kind and exit code."""
+
+    RAISED = {"config": (P.ConfigError("bad value"), 2),
+              "loss-diverged": (O.TrainingDiverged(3, 0.1, float("nan")), 5),
+              "loss-non-finite-grad": (FloatingPointError("non-finite"), 5),
+              "geometry": (D.ChannelError("13 bands"), 4),
+              "io-os": (FileNotFoundError(2, "No such file", "x"), 3),
+              "io-container": (D.ContainerError("truncated payload"), 3),
+              "io-checkpoint": (P.CheckpointError("no index.json"), 3)}
+
+    @pytest.mark.parametrize("case", list(RAISED))
+    def test_kind_and_exit_code(self, monkeypatch, capsys, case):
+        exc, code = self.RAISED[case]
+
+        def stub(args):
+            raise exc
+        monkeypatch.setattr(cli, "cmd_metrics", stub)
+        got, out, err = run_cli(["metrics", "--task", "miou", "--pred", "p",
+                                 "--label", "l"], capsys)
+        kind = case.split("-")[0]
+        assert (got, out, err) == (code, "", f"error[{kind}] {exc}\n")
+
+    def test_other_types_keep_their_traceback(self, monkeypatch):
+        def stub(args):
+            raise KeyError("a bug")
+        monkeypatch.setattr(cli, "cmd_metrics", stub)
+        with pytest.raises(KeyError):
+            cli.main(["metrics", "--task", "miou", "--pred", "p", "--label", "l"])
 
 
 class TestProbeCommand:

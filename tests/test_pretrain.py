@@ -293,13 +293,6 @@ class TestCheckpoint:
         assert victim.replace("param__", "").replace(".fgmr", "") \
             in str(exc.value).replace("/", ".")
 
-    def test_digest_mismatch_warns(self, tmp_path):
-        manifest = _dataset(tmp_path)
-        P.pretrain_run(_cfg(), manifest, str(tmp_path / "run"))
-        path = str(tmp_path / "run" / "checkpoint")
-        with pytest.warns(UserWarning):
-            P.load_checkpoint(path, cfg=_cfg(seed=99))
-
     def test_missing_moment_file_is_checkpoint_error(self, tmp_path):
         manifest = _dataset(tmp_path)
         P.pretrain_run(_cfg(), manifest, str(tmp_path / "run"))
