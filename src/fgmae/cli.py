@@ -79,9 +79,10 @@ def _default_seed(args):
 
 
 def cmd_synth(args):
-    for flag in ("n", "looks"):
-        if getattr(args, flag) < 1:
-            _fail("config", f"--{flag} must be >= 1")
+    for flag, low in (("n", 1), ("looks", 1),
+                      ("size", D.MIN_SCENE_SIZE[args.modality])):
+        if getattr(args, flag) < low:
+            _fail("config", f"--{flag} must be >= {low}")
     manifest = D.synthesize_dataset(args.out, args.modality, args.n,
                                     _default_seed(args), looks=args.looks,
                                     size=args.size)
@@ -146,6 +147,8 @@ def cmd_pretrain(args):
 def cmd_transfer(args):
     """Probe or fine-tune (``args.train``) a checkpoint; report metrics."""
     pcfg = _parse(E.ProbeConfig, _load_json(args.config), args, ("seed",))
+    if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        _fail("io", f"No such file or directory for --out {args.out}")
     model = P.load_model(args.checkpoint)
     entries = D.read_manifest(args.manifest)
     data_dir = os.path.dirname(os.path.abspath(args.manifest))
@@ -227,12 +230,7 @@ def cmd_render(args):
     else:  # ndi or hog: a reconstruction by one of the checkpoint's heads
         if not args.checkpoint:
             _fail("config", f"--checkpoint required for mode {args.mode}")
-        model, _, _, _, run_cfg, _ = P.load_checkpoint(args.checkpoint,
-                                                        moments=False)
-        try:
-            run_cfg = P.from_dict(P.PretrainConfig, run_cfg)
-        except P.ConfigError as exc:
-            _fail("io", f"{args.checkpoint} holds an unusable run config: {exc}")
+        run_cfg, model, *_ = P.load_checkpoint(args.checkpoint, moments=False)
         if args.mode not in model.heads:
             _fail("feature", f"checkpoint has no {args.mode} head")
         cfg = model.config
@@ -247,16 +245,10 @@ def cmd_render(args):
             rgb = M.render_ndi_false_color(pred, cfg.image_size,
                                            cfg.patch_size)[0]
         else:
-            hog = run_cfg.feature.hog
-            cells = cfg.patch_size // hog.cell_size
-            nb = hog.n_bins
-            c = pred.shape[-1] // (cells * cells * nb)
-            grid = cfg.grid
-            arr = pred.data.reshape(image.shape[0], grid, grid, c,
-                                    cells, cells, nb)
-            field = arr[0].transpose(2, 0, 3, 1, 4, 5).reshape(
-                c, grid * cells, grid * cells, nb)
-            rgb = M.render_hog_glyphs(np.clip(field[0], 0.0, None))
+            field = F.unpatchify_hog(pred.data, run_cfg.feature.hog,
+                                     cfg.image_size, cfg.image_size,
+                                     cfg.patch_size)
+            rgb = M.render_hog_glyphs(np.clip(field[0, 0], 0.0, None))
     D.write_ppm(args.out, rgb)
     print(f"wrote {args.out}")
     return 0

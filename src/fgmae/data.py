@@ -202,6 +202,8 @@ def select_season(entries, location_id, generator):
 
 MS_CLASSES = 8
 SAR_CLASSES = 6
+# smallest scene side per modality (MS blob radii are drawn below size // 3)
+MIN_SCENE_SIZE = {"MS": 3, "SAR": 1}
 
 # 8 land-cover stand-ins; per class, levels for the 13 multispectral bands.
 # Band roles follow Sentinel-2 L1C ordering: index 2 green, 3 red, 7 NIR,
@@ -462,6 +464,8 @@ def synthesize_dataset(out_dir, modality, n_locations, seed, looks=1, size=264):
     modality = modality.upper()
     if modality not in ("SAR", "MS"):
         raise ValueError(f"unknown modality {modality!r}, expected 'SAR' or 'MS'")
+    if size < MIN_SCENE_SIZE[modality]:
+        raise ValueError(f"{modality} needs size >= {MIN_SCENE_SIZE[modality]}")
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     # balanced class assignment, decorrelated from location index

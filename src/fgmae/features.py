@@ -416,6 +416,16 @@ def _hog_targets(image, spec, patch_size):
     return x.reshape(b, gh * gw, c * cells * cells * nb)
 
 
+def unpatchify_hog(patches, p, h, w, patch_size):
+    """Inverse of the HOG target layout: (B, L, C·cells²·bins) -> the
+    (B, C, H/cell, W/cell, bins) fields of :func:`compute_hog`."""
+    cells = patch_size // p.cell_size
+    gh, gw = h // patch_size, w // patch_size
+    x = np.reshape(patches, (len(patches), gh, gw, -1, cells, cells, p.n_bins))
+    x = x.transpose(0, 3, 1, 4, 2, 5, 6)
+    return x.reshape(len(x), -1, gh * cells, gw * cells, p.n_bins)
+
+
 def _sift_targets(image, spec, patch_size):
     p = spec.sift
     descr = compute_dense_sift(image, p)  # (B, G, dims)

@@ -43,8 +43,9 @@ class ModelConfig:
     def __post_init__(self):
         if self.image_size % self.patch_size:
             raise ValueError("image size must be divisible by patch size")
-        if self.enc_width % self.enc_heads or self.dec_width % self.dec_heads:
-            raise ValueError("width must be divisible by head count")
+        if any(w % h or w % 4 for w, h in ((self.enc_width, self.enc_heads),
+                                           (self.dec_width, self.dec_heads))):
+            raise ValueError("width must be divisible by head count and by 4")
         if not (0.0 <= self.mask_ratio < 1.0):
             raise ValueError("mask ratio must lie in [0, 1)")
 
@@ -136,10 +137,12 @@ def trunc_normal(generator, shape, std=0.02):
     """Normal(0, std) with every draw outside ±2 std drawn again until none is.
 
     Each round's redraws fill the still-rejected entries in row-major order.
+    The first round tests both bounds, not ``abs``: no float64 copy of the
+    draw, whose freed pages were faulted in again on every call.
     """
     out = generator.normal(0.0, std, size=shape)
     flat = out.reshape(-1)
-    bad = np.flatnonzero(np.abs(flat) > 2.0 * std)
+    bad = np.flatnonzero((flat > 2.0 * std) | (flat < -2.0 * std))
     while bad.size:
         flat[bad] = generator.normal(0.0, std, size=bad.size)
         bad = bad[np.abs(flat[bad]) > 2.0 * std]
@@ -166,63 +169,61 @@ def patchify(x, patch_size):
 class FgMae:
     """The full network. Parameters live in ``self.params`` (name -> Tensor)
     so optimizers and checkpoints can treat them uniformly; ``heads`` maps
-    each head's name to its output width, in order. Parameters are drawn
-    from ``generator``, or ``params`` (e.g. read from a checkpoint) are
-    adopted as they are."""
+    each head's name to its output width, in order. They are allocated
+    unfilled, then drawn from ``generator`` if one is given."""
 
-    def __init__(self, config, heads, generator=None, dtype=np.float32,
-                 params=None):
+    def __init__(self, config, heads, generator=None):
         self.config = config
         self.heads = dict(heads)
         # head.w / head.b for the first head, head.<name>.w / .b after it
         self.head_prefixes = {name: "head" if i == 0 else f"head.{name}"
                               for i, name in enumerate(self.heads)}
-        self.dtype = dtype
         c = config
-        self.enc_pos = sincos_pos_embed(c.enc_width, c.grid).astype(dtype)
-        self.dec_pos = sincos_pos_embed(c.dec_width, c.grid).astype(dtype)
-        if params is not None:
-            self.params = params
-            return
+        self.enc_pos = sincos_pos_embed(c.enc_width, c.grid).astype(np.float32)
+        self.dec_pos = sincos_pos_embed(c.dec_width, c.grid).astype(np.float32)
         self.params = {}
-        in_dim = c.patch_size * c.patch_size * c.in_channels
-        self._add("embed.w", trunc_normal(generator, (in_dim, c.enc_width)))
-        self._add("embed.b", np.zeros(c.enc_width))
+        self._linear("embed", c.patch_size ** 2 * c.in_channels, c.enc_width)
         for i in range(c.enc_depth):
-            self._add_block(f"enc.{i}", c.enc_width, generator)
-        self._add("enc.norm.g", np.ones(c.enc_width))
-        self._add("enc.norm.b", np.zeros(c.enc_width))
-
-        self._add("dec.embed.w", trunc_normal(generator, (c.enc_width, c.dec_width)))
-        self._add("dec.embed.b", np.zeros(c.dec_width))
-        self._add("mask_token", trunc_normal(generator, (1, 1, c.dec_width)))
+            self._add_block(f"enc.{i}", c.enc_width)
+        self._norm("enc.norm", c.enc_width)
+        self._linear("dec.embed", c.enc_width, c.dec_width)
+        self._add("mask_token", 1, 1, c.dec_width)
         for i in range(c.dec_depth):
-            self._add_block(f"dec.{i}", c.dec_width, generator)
-        self._add("dec.norm.g", np.ones(c.dec_width))
-        self._add("dec.norm.b", np.zeros(c.dec_width))
-
+            self._add_block(f"dec.{i}", c.dec_width)
+        self._norm("dec.norm", c.dec_width)
         for name, prefix in self.head_prefixes.items():
-            width = self.heads[name]
-            self._add(f"{prefix}.w", trunc_normal(generator, (c.dec_width, width)))
-            self._add(f"{prefix}.b", np.zeros(width))
+            self._linear(prefix, c.dec_width, self.heads[name])
+        if generator is not None:
+            self.draw(generator)
 
-    def _add(self, name, value):
-        self.params[name] = Tensor(np.asarray(value, dtype=self.dtype), requires_grad=True)
+    def _add(self, name, *shape):
+        self.params[name] = Tensor(np.empty(shape, np.float32), requires_grad=True)
 
-    def _add_block(self, prefix, width, generator):
-        mlp = 4 * width
-        self._add(f"{prefix}.ln1.g", np.ones(width))
-        self._add(f"{prefix}.ln1.b", np.zeros(width))
-        self._add(f"{prefix}.qkv.w", trunc_normal(generator, (width, 3 * width)))
-        self._add(f"{prefix}.qkv.b", np.zeros(3 * width))
-        self._add(f"{prefix}.proj.w", trunc_normal(generator, (width, width)))
-        self._add(f"{prefix}.proj.b", np.zeros(width))
-        self._add(f"{prefix}.ln2.g", np.ones(width))
-        self._add(f"{prefix}.ln2.b", np.zeros(width))
-        self._add(f"{prefix}.mlp1.w", trunc_normal(generator, (width, mlp)))
-        self._add(f"{prefix}.mlp1.b", np.zeros(mlp))
-        self._add(f"{prefix}.mlp2.w", trunc_normal(generator, (mlp, width)))
-        self._add(f"{prefix}.mlp2.b", np.zeros(width))
+    def _linear(self, name, d, e):
+        self._add(f"{name}.w", d, e)
+        self._add(f"{name}.b", e)
+
+    def _norm(self, name, d):
+        self._add(f"{name}.g", d)
+        self._add(f"{name}.b", d)
+
+    def _add_block(self, prefix, width):
+        self._norm(f"{prefix}.ln1", width)
+        self._linear(f"{prefix}.qkv", width, 3 * width)
+        self._linear(f"{prefix}.proj", width, width)
+        self._norm(f"{prefix}.ln2", width)
+        self._linear(f"{prefix}.mlp1", width, 4 * width)
+        self._linear(f"{prefix}.mlp2", 4 * width, width)
+
+    def draw(self, generator):
+        """Fill every parameter in place, in order: weights (``.w``) and the
+        mask token from ``trunc_normal(generator, ...)``, norm gains
+        (``.g``) with ones and biases with zeros."""
+        for name, p in self.params.items():
+            if name.endswith(".w") or name == "mask_token":
+                p.data[...] = trunc_normal(generator, p.shape)
+            else:
+                p.data[...] = 1.0 if name.endswith(".g") else 0.0
 
     # -- building blocks -----------------------------------------------------
 
@@ -276,7 +277,7 @@ class FgMae:
         x = T.matmul(encoded, p["dec.embed.w"]) + p["dec.embed.b"]
         if plan.n_mask > 0:
             fill = T.mul(p["mask_token"],
-                         Tensor(np.ones((b, plan.n_mask, 1), dtype=self.dtype)))
+                         Tensor(np.ones((b, plan.n_mask, 1), np.float32)))
             x = T.concatenate([x, fill], axis=1)
         x = T.gather_tokens(x, plan.ids_restore)
         x = x + Tensor(self.dec_pos)

@@ -16,8 +16,6 @@ import math
 import os
 from dataclasses import dataclass, field, asdict
 
-import numpy as np
-
 from . import data as D
 from . import features as F
 from . import model as M
@@ -54,6 +52,11 @@ class PretrainConfig:
         if self.augment.out_size != self.model.image_size:
             raise ValueError("augmentation output size must match the model "
                              "image size")
+        n = self.model.n_patches
+        keep = M.keep_count(n, self.model.mask_ratio)
+        if not 0 < keep < n:
+            raise ValueError(f"mask ratio {self.model.mask_ratio} keeps {keep} "
+                             f"of {n} patches; pretraining needs 1 to {n - 1}")
         heads = self.heads  # checks the feature spec against the model
         if not isinstance(self.head_weights, dict) or not all(
                 isinstance(w, (int, float)) and not isinstance(w, bool)
@@ -145,9 +148,8 @@ def _check(value, default, where):
 class Trainer:
     """Owns the model, optimizer state and data flow for one pretraining run.
 
-    A fresh trainer initialises the model and moves its parameters into its
-    ``AdamW``'s flat buffers once, here; ``load`` passes in a model and an
-    ``AdamW`` whose buffers the checkpoint was read into."""
+    A fresh trainer draws the model straight into its ``AdamW``'s storage;
+    ``load`` passes in both, built the same way and read from a checkpoint."""
 
     def __init__(self, cfg, entries, data_dir, model=None, opt=None):
         self.cfg = cfg
@@ -158,13 +160,10 @@ class Trainer:
             raise ValueError("empty manifest")
         self.rng = Rng(cfg.seed)
         if model is None:
-            model = M.FgMae(cfg.model, cfg.heads, self.rng.child("init").at(0))
-        self.model = model
-        if opt is None:
-            opt = O.AdamW(model.params, lr=cfg.base_lr,
-                          beta1=cfg.adam_betas[0], beta2=cfg.adam_betas[1],
-                          weight_decay=cfg.weight_decay)
-        self.opt = opt
+            model = M.FgMae(cfg.model, cfg.heads)
+            opt = _adamw(cfg, model, 0)
+            model.draw(self.rng.child("init").at(0))
+        self.model, self.opt = model, opt
         self.step = 0
         self.loss_log = []  # (step, lr, loss)
 
@@ -225,12 +224,18 @@ class Trainer:
 
     @classmethod
     def load(cls, path, entries, data_dir):
-        model, opt, step, loss_log, stored_cfg, _ = load_checkpoint(path)
-        cfg = from_dict(PretrainConfig, stored_cfg)
+        cfg, model, opt, step, loss_log = load_checkpoint(path)
         trainer = cls(cfg, entries, data_dir, model=model, opt=opt)
-        trainer.step = step
-        trainer.loss_log = list(loss_log)
+        trainer.step, trainer.loss_log = step, loss_log
         return trainer
+
+
+def _adamw(cfg, model, t):
+    """The run's AdamW at step ``t``, adopting ``model``'s parameter storage
+    unfilled: a fresh run draws into it, a resumed one reads into it."""
+    return O.AdamW(model.params, lr=cfg.base_lr, beta1=cfg.adam_betas[0],
+                   beta2=cfg.adam_betas[1], weight_decay=cfg.weight_decay,
+                   t=t, copy=False)
 
 
 def pretrain_run(cfg, manifest_path, out_dir):
@@ -257,19 +262,17 @@ class CheckpointError(Exception):
     pass
 
 
-FORMAT = "fgmae-checkpoint-v2"
-_OPTIM_KEYS = ("lr", "beta1", "beta2", "eps", "weight_decay", "t")
+FORMAT = "fgmae-checkpoint-v3"
 
 
 def save_checkpoint(path, model, opt, step, loss_log, cfg):
-    """Directory of FGMR tensors (parameters + moments) plus index.json.
+    """Directory of FGMR tensors (parameters + moments) plus index.json,
+    whose run config is the one description of the model and its AdamW.
     Writes are atomic per file; the index goes last."""
     os.makedirs(path, exist_ok=True)
-    names = {}
     for name, p in model.params.items():
         fname = f"param__{name}.fgmr"
         D.write_tensor(os.path.join(path, fname), p.data)
-        names[name] = list(p.shape)
         for kind, store in (("m", opt.m), ("v", opt.v)):
             if name in store:
                 D.write_tensor(os.path.join(path, f"{kind}__{name}.fgmr"), store[name])
@@ -278,11 +281,7 @@ def save_checkpoint(path, model, opt, step, loss_log, cfg):
         "step": step,
         "config_digest": cfg.digest(),
         "config": asdict(cfg),
-        "model_config": asdict(model.config),
-        "heads": model.heads,
-        "names": names,
-        "optimizer": {**{k: getattr(opt, k) for k in _OPTIM_KEYS},
-                      "has_moments": sorted(opt.m)},
+        "optimizer": {"t": opt.t, "has_moments": sorted(opt.m)},
         "loss_log": [[s, lr, lo] for s, lr, lo in loss_log],
     }
     tmp = os.path.join(path, "index.json.tmp")
@@ -292,15 +291,13 @@ def save_checkpoint(path, model, opt, step, loss_log, cfg):
 
 
 def load_checkpoint(path, moments=True):
-    """Rebuild (model, optimizer state, step, loss log, config dict, index).
-
-    Each parameter and moment payload is read straight into its view of a
-    fresh ``AdamW``'s buffers. With ``moments=False`` only the index and the
-    parameters are read, into plain arrays, and the optimizer state is
-    None. An index.json that is missing, malformed, of another format or
-    short of a key is a CheckpointError, and so is a missing file, which
-    names its parameter; a payload whose shape or dtype does not match the
-    index is a ContainerError naming its file.
+    """Rebuild (config, model, optimizer, step, loss log) from the run
+    config in index.json, parsed once: its model and ``AdamW`` are built as
+    in a fresh ``Trainer`` and every payload is read into their storage.
+    With ``moments=False`` the parameters are read into plain arrays and
+    the optimizer is None. A bad index or config, a missing tensor file or
+    moments for a parameter the config's model lacks is a CheckpointError;
+    a payload whose shape or dtype does not fit is a ContainerError.
     """
     try:
         with open(os.path.join(path, "index.json")) as f:
@@ -314,40 +311,35 @@ def load_checkpoint(path, moments=True):
         raise CheckpointError(f"checkpoint under {path} has format {fmt!r}, "
                               f"not {FORMAT}")
     try:
-        params = {name: Tensor(np.empty(shape, np.float32), requires_grad=True)
-                  for name, shape in index["names"].items()}
-        model = M.FgMae(from_dict(M.ModelConfig, index["model_config"]),
-                        index["heads"], params=params)
-        opt_args = {k: index["optimizer"][k] for k in _OPTIM_KEYS}
-        has_moments = index["optimizer"]["has_moments"]
+        cfg = from_dict(PretrainConfig, index["config"])
+        t = int(index["optimizer"]["t"])
+        has_moments = sorted(set(index["optimizer"]["has_moments"]))
         step = int(index["step"])
         loss_log = [(int(s), float(lr), float(lo)) for s, lr, lo in index["loss_log"]]
-        stored_cfg = index["config"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"invalid index.json under {path}: {exc!r}") from None
-    opt = None
-    if moments:
-        opt = O.AdamW(model.params, **opt_args, copy=False)
+    model = M.FgMae(cfg.model, cfg.heads)
+    unknown = set(has_moments) - set(model.params)
+    if unknown:
+        raise CheckpointError(f"moments under {path} for {sorted(unknown)}, "
+                              "which its config's model lacks")
+    opt = _adamw(cfg, model, t) if moments else None
     for name, p in model.params.items():
-        _read_into(path, f"param__{name}.fgmr", p.data, "tensor", name)
+        _read_into(path, f"param__{name}.fgmr", p.data)
     for name in has_moments if moments else ():
-        if name not in opt.views:
-            raise CheckpointError(f"moments for unknown parameter {name!r}")
         for kind, store, view in zip("mv", (opt.m, opt.v), opt.views[name][2:]):
-            store[name] = _read_into(path, f"{kind}__{name}.fgmr", view,
-                                     f"{kind} moment", name)
-    return model, opt, step, loss_log, stored_cfg, index
+            store[name] = _read_into(path, f"{kind}__{name}.fgmr", view)
+    return cfg, model, opt, step, loss_log
 
 
-def _read_into(path, fname, out, what, name):
+def _read_into(path, fname, out):
     try:
         return D.read_tensor(os.path.join(path, fname), out=out)
     except FileNotFoundError:
-        raise CheckpointError(f"missing {what} file for parameter "
-                              f"{name!r}") from None
+        raise CheckpointError(f"missing {fname} under {path}") from None
 
 
 def load_model(path):
     """Just the model from a checkpoint directory: the index and the
     parameters, no optimizer moments."""
-    return load_checkpoint(path, moments=False)[0]
+    return load_checkpoint(path, moments=False)[1]

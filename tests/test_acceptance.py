@@ -117,7 +117,9 @@ def test_criterion_3_autodiff_soundness():
                         dec_width=16, dec_depth=1, dec_heads=2,
                         mask_ratio=0.5)
     model = M.FgMae(cfg, F.FeatureSpec("hog", hog=F.HogParams(cell_size=4))
-                    .heads(2, 8), Rng(0).child("init").at(0), dtype=np.float64)
+                    .heads(2, 8), Rng(0).child("init").at(0))
+    for p in model.params.values():  # the check runs in f64
+        p.data = p.data.astype(np.float64)
     img = gen.random((2, 2, 16, 16))
     target = F.assemble_targets(img, F.FeatureSpec("hog",
                                                    hog=F.HogParams(cell_size=4)), 8)

@@ -290,6 +290,13 @@ class TestBadValues:
     CASES = {
         "epochs-0": ("pretrain", {"epochs": 0, "warmup_epochs": 0}, None,
                      "config", "epochs"),
+        # 16 patches: 0.0 masks none, 0.95 leaves none visible
+        "pretrain-mask-ratio-0": ("pretrain",
+                                  {"model": {**_MODEL, "mask_ratio": 0.0}},
+                                  None, "config", "keeps 16 of 16 patches"),
+        "ablate-mask-ratio-0.95": ("ablate",
+                                   {"model": {**_MODEL, "mask_ratio": 0.95}},
+                                   None, "config", "keeps 0 of 16 patches"),
         "pretrain-config-a-list": ("pretrain", [1, 2], None, "config",
                                    "JSON object"),
         "ablate-config-a-list": ("ablate", [1, 2], None, "config",
@@ -416,6 +423,12 @@ class TestBadValues:
         "synth-looks-0": (["synth", "--modality", "SAR", "--out", "{tmp}/out",
                            "--n", "1", "--looks", "0"], {}, "config",
                           "--looks"),
+        "synth-sar-size-0": (["synth", "--modality", "SAR", "--out",
+                              "{tmp}/out", "--n", "1", "--size", "0"], {},
+                             "config", "--size must be >= 1"),
+        "synth-ms-size-2": (["synth", "--modality", "MS", "--out",
+                             "{tmp}/out", "--n", "1", "--size", "2"], {},
+                            "config", "--size must be >= 3"),
         "metrics-miou-sizes-disagree": (
             METRICS + ["miou"], {"pred": np.zeros((2, 2)), "label": np.zeros(3)},
             "geometry", "sizes disagree"),
@@ -462,11 +475,13 @@ class TestBadValues:
         argv = [a.format(tmp=tmp_path, ckpt=demo_checkpoint,
                          manifest=os.path.join(sar_dataset, "manifest.csv"))
                 for a in argv]
-        code, _, err = run_cli(argv, capsys)
+        code, out, err = run_cli(argv, capsys)
         assert code == self.CODES[kind]
         assert err.startswith(f"error[{kind}]") and len(err.splitlines()) == 1
         assert "Traceback" not in err and match in err
         assert not os.path.exists(tmp_path / "out")
+        # checked before any work: no probe ran to print its metrics
+        assert out == ""
 
 
 class TestErrorTable:
@@ -546,10 +561,13 @@ class TestProbeCommand:
 
 class TestCheckpointIndex:
     """A checkpoint whose index.json is of another format, cut short or
-    short of a key is one error[io] line, exit 3."""
+    short of a key, or whose run config does not parse or does not fit its
+    tensors, is one error[io] line, exit 3."""
 
     @pytest.mark.parametrize("command", ["probe", "finetune", "render"])
-    @pytest.mark.parametrize("damage", ["v0", "truncated", "missing-key"])
+    @pytest.mark.parametrize("damage", ["v0", "truncated", "missing-key",
+                                        "config-unparsable",
+                                        "config-disagrees"])
     def test_bad_index_exits_io(self, tmp_path, capsys, sar_dataset,
                                 demo_checkpoint, command, damage):
         ckpt = str(tmp_path / "ckpt")
@@ -560,7 +578,13 @@ class TestCheckpointIndex:
         if damage == "v0":
             text = json.dumps({**index, "format": "fgmae-checkpoint-v0"})
         elif damage == "missing-key":
-            text = json.dumps({k: v for k, v in index.items() if k != "names"})
+            text = json.dumps({k: v for k, v in index.items() if k != "config"})
+        elif damage.startswith("config"):
+            model = index["config"]["model"]
+            model.update(enc_width=2 * model["enc_width"])
+            if damage == "config-unparsable":
+                model.update(enc_heads=3)
+            text = json.dumps(index)
         else:
             text = text[:len(text) // 2]
         open(path, "w").write(text)

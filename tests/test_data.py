@@ -201,6 +201,14 @@ class TestSpeckle:
 
 
 class TestScenes:
+    @pytest.mark.parametrize("modality, size", [("SAR", 0), ("MS", 2)])
+    def test_too_small_scene_rejected(self, tmp_path, modality, size):
+        # below the minimum, MS died in its blob draw and SAR dividing by 0
+        with pytest.raises(ValueError, match=f"{modality} needs size >= "
+                           f"{D.MIN_SCENE_SIZE[modality]}"):
+            D.synthesize_dataset(str(tmp_path / "d"), modality, 1, 0, size=size)
+        assert not (tmp_path / "d").exists()
+
     def test_multispectral_shapes(self):
         img, mask, labels = D.synth_multispectral_scene(
             D.SyntheticSceneParams(seed=0, size=64, channels=13))

@@ -67,6 +67,16 @@ class TestHog:
         ref = hog_reference(img[0, 0], cell_size=8)
         np.testing.assert_allclose(ours[0, 0], ref, atol=1e-10)
 
+    @pytest.mark.parametrize("cell_size", [4, 8])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_targets_unpatchify_to_the_fields(self, cell_size, channels):
+        # 2 images of 2 x 3 patches of 16 px: rows, columns and images apart
+        img = np.random.default_rng(channels).random((2, channels, 32, 48))
+        p = HogParams(cell_size=cell_size)
+        targets = F._hog_targets(img, FeatureSpec("hog", hog=p), 16)
+        back = F.unpatchify_hog(targets, p, 32, 48, 16)
+        assert back.tobytes() == F.compute_hog(img, p).tobytes()
+
     def test_matches_oracle_multichannel(self):
         for img in (_img(11, 3, 24, 24), _batched_stack()):
             ours = F.compute_hog(img, HogParams(cell_size=8))

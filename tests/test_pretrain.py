@@ -4,6 +4,7 @@ failure modes."""
 import dataclasses
 import gc
 import json
+import math
 import os
 
 import numpy as np
@@ -18,6 +19,7 @@ from fgmae import model as M
 from fgmae import optim as O
 from fgmae import pretrain as P
 from fgmae.evaluate import params_digest
+from fgmae.rng import Rng
 
 from oracles import pretrain_step_reference
 
@@ -51,17 +53,21 @@ _UNIT = st.floats(0.0, 1.0, exclude_max=True)
 
 @st.composite
 def _pretrain_configs(draw):
-    """Any valid PretrainConfig: the geometry of every block fits the model."""
+    """Any valid PretrainConfig: the geometry of every block fits the model,
+    and the mask ratio leaves a visible and a masked patch."""
     patch = draw(st.sampled_from([4, 8, 16]))
     channels = draw(st.integers(1, 13))
     enc_heads, dec_heads = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    grid = draw(st.integers(2, 4))
     model = M.ModelConfig(
-        image_size=patch * draw(st.integers(1, 4)), patch_size=patch,
-        in_channels=channels, enc_width=enc_heads * draw(st.integers(1, 16)),
+        image_size=patch * grid, patch_size=patch,
+        in_channels=channels,
+        enc_width=math.lcm(enc_heads, 4) * draw(st.integers(1, 4)),
         enc_depth=draw(st.integers(0, 3)), enc_heads=enc_heads,
-        dec_width=dec_heads * draw(st.integers(1, 16)),
+        dec_width=math.lcm(dec_heads, 4) * draw(st.integers(1, 4)),
         dec_depth=draw(st.integers(0, 3)), dec_heads=dec_heads,
-        mask_ratio=draw(_UNIT))
+        mask_ratio=draw(_UNIT.filter(
+            lambda r: 0 < M.keep_count(grid * grid, r) < grid * grid)))
     variants = [v for v in F.VARIANTS if "ndi" not in v or channels >= 4]
     bands = F.BandMap()
     if channels >= 4:
@@ -204,7 +210,10 @@ class TestConfig:
         (dict(feature=F.FeatureSpec("hog", hog=F.HogParams(cell_size=3))),
          "HOG cell size"),
         (dict(feature=F.FeatureSpec("hog+ndi")), "band map"),
-        (dict(head_weights={"ndi": 0.5}), "not among the run's heads")])
+        (dict(head_weights={"ndi": 0.5}), "not among the run's heads"),
+        # 16 patches: 0.0 masks none of them, 0.95 keeps none visible
+        (dict(model=TINY_MODEL.with_(mask_ratio=0.0)), "keeps 16 of 16"),
+        (dict(model=TINY_MODEL.with_(mask_ratio=0.95)), "keeps 0 of 16")])
     def test_config_checked_against_itself(self, overrides, match):
         with pytest.raises(ValueError, match=match):
             _cfg(**overrides)
@@ -254,7 +263,8 @@ class TestCheckpoint:
         manifest = _dataset(tmp_path)
         trainer = P.pretrain_run(_cfg(), manifest, str(tmp_path / "run"))
         path = str(tmp_path / "run" / "checkpoint")
-        model, opt, step, loss_log, cfg_dict, digest = P.load_checkpoint(path)
+        cfg, model, opt, step, loss_log = P.load_checkpoint(path)
+        assert cfg == trainer.cfg and model.heads == cfg.heads
         assert step == trainer.step
         assert loss_log == trainer.loss_log
         assert params_digest(model.params) == params_digest(trainer.model.params)
@@ -316,17 +326,24 @@ class TestCheckpoint:
     @pytest.mark.parametrize("edit", [
         lambda index: {**index, "format": "fgmae-checkpoint-v0"},
         lambda index: {**index, "format": "fgmae-checkpoint-v1"},
-        lambda index: {k: v for k, v in index.items() if k != "heads"},
+        lambda index: {**index, "format": "fgmae-checkpoint-v2"},
+        lambda index: {k: v for k, v in index.items() if k != "config"},
         lambda index: {**index, "optimizer": {"t": 0}},
+        lambda index: {**index, "config": {**index["config"], "epochs": 0}},
+        lambda index: {**index, "config": {**index["config"], "lr": 1.0}},
         lambda index: [index]],
-        ids=["v0", "v1", "no-heads", "no-optimizer-keys", "not-an-object"])
+        ids=["v0", "v1", "v2", "no-config", "no-optimizer-keys",
+             "config-invalid", "config-unknown-key", "not-an-object"])
     def test_bad_index_is_checkpoint_error(self, tmp_path, edit):
         manifest = _dataset(tmp_path)
         ckpt = tmp_path / "ckpt"
         P.Trainer(_cfg(), D.read_manifest(manifest),
                   os.path.dirname(manifest)).save(str(ckpt))
         index = json.loads((ckpt / "index.json").read_text())
-        assert index["format"] == P.FORMAT == "fgmae-checkpoint-v2"
+        assert index["format"] == P.FORMAT == "fgmae-checkpoint-v3"
+        assert set(index) == {"format", "step", "config_digest", "config",
+                              "optimizer", "loss_log"}
+        assert set(index["optimizer"]) == {"t", "has_moments"}
         (ckpt / "index.json").write_text(json.dumps(edit(index)))
         with pytest.raises(P.CheckpointError):
             P.load_checkpoint(str(ckpt))
@@ -340,6 +357,72 @@ class TestCheckpoint:
         (ckpt / "index.json").write_text(text[:len(text) // 2])
         with pytest.raises(P.CheckpointError, match="malformed"):
             P.load_checkpoint(str(ckpt))
+
+    @pytest.mark.parametrize("edit, error", [
+        ({"model": {"enc_width": 16}}, D.ContainerError),
+        ({"feature": {"variant": "canny"}}, D.ContainerError),
+        ({"model": {"enc_depth": 0}}, P.CheckpointError),
+        ({"model": {"dec_depth": 2}}, P.CheckpointError)],
+        ids=["narrower", "other-head-width", "fewer-blocks", "more-blocks"])
+    def test_config_that_disagrees_with_the_tensors(self, tmp_path, edit,
+                                                    error):
+        # the stored config alone describes the model, so a config edited
+        # away from the tensors fails the load, naming what does not fit
+        manifest = _dataset(tmp_path)
+        entries, data_dir = D.read_manifest(manifest), os.path.dirname(manifest)
+        trainer = P.Trainer(_cfg(), entries, data_dir)
+        trainer.train_step()
+        ckpt = tmp_path / "ckpt"
+        trainer.save(str(ckpt))
+        index = json.loads((ckpt / "index.json").read_text())
+        for block, values in edit.items():
+            index["config"][block].update(values)
+        (ckpt / "index.json").write_text(json.dumps(index))
+        with pytest.raises(error):
+            P.Trainer.load(str(ckpt), entries, data_dir)
+        with pytest.raises(error):
+            P.load_model(str(ckpt))
+
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=_pretrain_configs(), step=st.integers(0, 2**31),
+           stepped=st.booleans())
+    def test_round_trip_property(self, tmp_path_factory, cfg, step, stepped):
+        # the checkpoint leg of config round trips: save and load give the
+        # same config and digest, the config's heads and every bit of the
+        # parameters and moments
+        model = M.FgMae(cfg.model, cfg.heads, np.random.default_rng(step))
+        opt = O.AdamW(model.params, lr=cfg.base_lr,
+                      beta1=cfg.adam_betas[0], beta2=cfg.adam_betas[1],
+                      weight_decay=cfg.weight_decay)
+        gen = np.random.default_rng(1)
+        if stepped:
+            for p in model.params.values():
+                p.grad = gen.standard_normal(p.shape).astype(np.float32)
+            with np.errstate(all="ignore"):
+                O.adamw_step(opt)
+        log = [(step, cfg.base_lr, 0.5)]
+        path = str(tmp_path_factory.mktemp("ckpt"))
+        P.save_checkpoint(path, model, opt, step, log, cfg)
+        back, model2, opt2, step2, log2 = P.load_checkpoint(path)
+        assert back == cfg and back.digest() == cfg.digest()
+        assert model2.heads == cfg.heads == model.heads
+        assert (step2, log2, opt2.t) == (step, log, opt.t)
+        assert TestLoopOracle._arrays(model2, opt2) == \
+            TestLoopOracle._arrays(model, opt)
+        assert len(opt2.m) == (len(model.params) if stepped else 0)
+
+    def test_fresh_trainer_draws_into_the_optimizer(self, tmp_path):
+        # no copy: each parameter is a view of its AdamW group's buffer,
+        # holding what FgMae draws from the same generator
+        cfg = _cfg()
+        trainer = P.Trainer(cfg, D.read_manifest(_dataset(tmp_path)),
+                            str(tmp_path / "data"))
+        drawn = M.FgMae(cfg.model, cfg.heads,
+                        Rng(cfg.seed).child("init").at(0))
+        for name, p in trainer.model.params.items():
+            assert any(np.shares_memory(p.data, g.p)
+                       for g in trainer.opt.groups), name
+            assert p.data.tobytes() == drawn.params[name].data.tobytes()
 
     def test_load_model_helper(self, tmp_path):
         manifest = _dataset(tmp_path)
@@ -383,13 +466,14 @@ class TestLoopOracle:
             new.train_step()
         assert new.loss_log == ref.loss_log
         assert new.step == ref.step == new.opt.t == ref.opt.t == 8
-        assert self._arrays(new) == self._arrays(ref)
+        assert self._arrays(new.model, new.opt) == \
+            self._arrays(ref.model, ref.opt)
 
     @staticmethod
-    def _arrays(trainer):
+    def _arrays(model, opt):
         """(kind, name) -> (dtype, bytes) of every parameter and moment."""
-        stores = {"param": {n: p.data for n, p in trainer.model.params.items()},
-                  "m": trainer.opt.m, "v": trainer.opt.v}
+        stores = {"param": {n: p.data for n, p in model.params.items()},
+                  "m": opt.m, "v": opt.v}
         return {(kind, name): (a.dtype, a.tobytes())
                 for kind, store in stores.items() for name, a in store.items()}
 
