@@ -9,8 +9,6 @@ with any image viewer.
 
 import os
 
-import numpy as np
-
 from fgmae import data as D
 from fgmae import features as F
 from fgmae.model import render_hog_glyphs, render_sar_composite
@@ -21,25 +19,24 @@ os.makedirs(OUT, exist_ok=True)
 # -- scenes ------------------------------------------------------------------
 
 ms, ms_mask, ms_labels = D.synth_multispectral_scene(
-    D.SyntheticSceneParams(seed=0, size=64, channels=13))
+    D.SyntheticSceneParams(seed=0, size=64))
 sar, sar_mask, sar_label = D.synth_sar_scene(
-    D.SyntheticSceneParams(seed=0, size=64, channels=2, looks=1))
+    D.SyntheticSceneParams(seed=0, size=64, looks=1))
 print(f"MS scene {ms.shape}, multilabel vector: {ms_labels}")
 print(f"SAR scene {sar.shape}, class id: {int(sar_label.argmax())}")
 
-# -- normalized difference indices (vegetation and water, on MS bands) -------
+# -- normalized difference indices (vegetation, water, built-up; MS bands) ---
 
-ndi = F.compute_ndi(ms[None])           # (1, 2, H, W) in [-1, 1]
+ndi = F.compute_ndi(ms[None])           # (1, 3, H, W) in [-1, 1]
 print(f"NDI range: [{ndi.min():.3f}, {ndi.max():.3f}]")
 
 # -- oriented gradient histograms on the SAR channels ------------------------
 
 hog = F.compute_hog(sar[None], F.HogParams(cell_size=4))
 print(f"HOG field: {hog.shape}  (B, C, cells_h, cells_w, bins)")
-D.write_ppm(os.path.join(OUT, "hog_glyphs.ppm"),
-            np.repeat(render_hog_glyphs(hog[0, 0])[..., None], 3, axis=-1))
+D.write_ppm(os.path.join(OUT, "hog_glyphs.ppm"), render_hog_glyphs(hog[0, 0]))
 
-# -- Canny edges on the grayscale reduction ----------------------------------
+# -- Canny edges, one map per band -------------------------------------------
 
 edges = F.compute_canny(ms[None])
 print(f"Canny edge density: {edges.mean():.3f}")
@@ -55,5 +52,6 @@ spec = F.FeatureSpec("hog", hog=F.HogParams(cell_size=4))
 targets = F.assemble_targets(sar[None], spec, patch_size=8)
 print(f"HOG targets per 8x8 patch: {targets['hog'].shape}")
 
-D.write_ppm(os.path.join(OUT, "sar_scene.ppm"), render_sar_composite(sar))
+D.write_ppm(os.path.join(OUT, "sar_scene.ppm"),
+            render_sar_composite(sar[None])[0])
 print(f"previews written to {OUT}/")

@@ -40,7 +40,7 @@ def write_tensor(path, array):
     dims u64[rank], then the little-endian row-major payload."""
     array = np.asarray(array)
     if array.dtype not in _DTYPE_CODES:
-        array = array.astype(np.float64 if array.dtype == np.float64 else np.float32)
+        array = array.astype(np.float32)
     code = _DTYPE_CODES[array.dtype]
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as f:
@@ -115,6 +115,8 @@ def write_ppm(path, image):
     image = np.asarray(image)
     if image.dtype != np.uint8:
         raise ValueError("PPM writer expects uint8 data")
+    if image.ndim not in (2, 3) or image.ndim == 3 and image.shape[0] != 3:
+        raise ValueError(f"PPM writer expects (3, H, W) or (H, W), got {image.shape}")
     with open(path, "wb") as f:
         if image.ndim == 2:
             f.write(b"P5\n%d %d\n255\n" % (image.shape[1], image.shape[0]))
@@ -226,15 +228,12 @@ _MS_SIGNATURES = np.array([
 class SyntheticSceneParams:
     seed: int = 0
     size: int = 264
-    channels: int = 13           # 13 for MS, 2 for SAR
     n_structures: int = 6
     looks: int = 1               # SAR speckle looks
 
     def __post_init__(self):
         if self.looks < 1:
             raise ValueError("speckle looks must be >= 1")
-        if self.channels not in (13, 2):
-            raise ValueError("channels must be 13 (MS) or 2 (SAR)")
 
 
 def _smooth_field(generator, size, scale=8):
@@ -480,9 +479,7 @@ def synthesize_dataset(out_dir, modality, n_locations, seed, looks=1, size=264):
         for season in range(4):
             scene_seed = int(np.random.SeedSequence(
                 entropy=seed, spawn_key=(loc, season)).generate_state(1)[0])
-            params = SyntheticSceneParams(seed=scene_seed, size=size,
-                                          channels=2 if modality == "SAR" else 13,
-                                          looks=looks)
+            params = SyntheticSceneParams(seed=scene_seed, size=size, looks=looks)
             if modality == "SAR":
                 image, mask, labels = synth_sar_scene(params, class_id=class_id)
                 label_str = str(int(np.argmax(labels)))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -96,22 +97,9 @@ class FeatureSpec:
         """Head name -> per-patch target width for the given image geometry,
         one head per descriptor in order; a ValueError when the geometry
         does not suit a descriptor."""
-        return {name: self._width(name, channels, patch_size)
+        return {name: _DESCRIPTORS[name].depth(self, channels)
+                * _cells_per_patch(self, name, patch_size) ** 2
                 for name in self.variant.split("+")}
-
-    def _width(self, name, channels, patch_size):
-        if name in ("raw", "canny"):
-            return patch_size * patch_size * channels
-        if name == "ndi":
-            self.bands.validate(channels)
-            return patch_size * patch_size * 3
-        if name == "hog":
-            if patch_size % self.hog.cell_size:
-                raise ValueError("patch size must be divisible by HOG cell size")
-            return channels * (patch_size // self.hog.cell_size) ** 2 * self.hog.n_bins
-        if patch_size % self.sift.stride:
-            raise ValueError("patch size must be divisible by SIFT grid stride")
-        return (patch_size // self.sift.stride) ** 2 * self.sift.dims
 
 
 # ---------------------------------------------------------------------------
@@ -351,29 +339,41 @@ def compute_dense_sift(image, p=SiftParams()):
 # target assembly
 
 
-def patchify_array(image, patch_size):
-    """(B, C, H, W) -> (B, L, patch² · C); channel-major then row-major
-    spatial order inside each flattened patch."""
-    image = _check_image(image)
-    b, c, h, w = image.shape
+def patchify_array(field, patch_size):
+    """Cut a (B, C, H, W, *K) field of H x W cells, each holding a K-shaped
+    block (none for an image), into (B, L, C · patch² · prod(K)) patches of
+    patch x patch cells. Inside a flattened patch the order is channel, then
+    rows, then columns, then K."""
+    field = np.asarray(field)
+    if field.ndim < 4:
+        raise ValueError(f"expected a (B, C, H, W, ...) field, got shape {field.shape}")
+    b, c, h, w, *k = field.shape
     if h % patch_size or w % patch_size:
-        raise ValueError(f"image size {h}x{w} not divisible by patch size {patch_size}")
+        raise ValueError(f"{h}x{w} field not divisible by patch size {patch_size}")
     gh, gw = h // patch_size, w // patch_size
-    x = image.reshape(b, c, gh, patch_size, gw, patch_size)
-    x = x.transpose(0, 2, 4, 1, 3, 5)
-    return x.reshape(b, gh * gw, c * patch_size * patch_size)
+    x = field.reshape(b, c, gh, patch_size, gw, patch_size, *k)
+    x = x.transpose(0, 2, 4, 1, 3, 5, *range(6, x.ndim))
+    return x.reshape(b, gh * gw, c * patch_size * patch_size * math.prod(k))
 
 
-def unpatchify_array(patches, channels, h, w, patch_size):
-    """Inverse of :func:`patchify_array`."""
+def unpatchify_array(patches, channels, h, w, patch_size, trailing=()):
+    """Inverse of :func:`patchify_array`: (B, L, ...) patches -> the
+    (B, channels, h, w, *trailing) field; ``channels`` -1 infers it."""
     patches = np.asarray(patches)
     b, l, _ = patches.shape
     gh, gw = h // patch_size, w // patch_size
     if l != gh * gw:
         raise ValueError("patch count inconsistent with image geometry")
-    x = patches.reshape(b, gh, gw, channels, patch_size, patch_size)
-    x = x.transpose(0, 3, 1, 4, 2, 5)
-    return x.reshape(b, channels, h, w)
+    x = patches.reshape(b, gh, gw, channels, patch_size, patch_size, *trailing)
+    x = x.transpose(0, 3, 1, 4, 2, 5, *range(6, x.ndim))
+    return x.reshape(b, -1, h, w, *trailing)
+
+
+def unpatchify_hog(patches, p, h, w, patch_size):
+    """Inverse of the HOG target layout: (B, L, C·cells²·bins) -> the
+    (B, C, H/cell, W/cell, bins) fields of :func:`compute_hog`."""
+    u = p.cell_size
+    return unpatchify_array(patches, -1, h // u, w // u, patch_size // u, (p.n_bins,))
 
 
 def _per_patch_normalize(patches, eps=1e-6):
@@ -382,78 +382,64 @@ def _per_patch_normalize(patches, eps=1e-6):
     return (patches - mu) / (sd + eps)
 
 
+def _sift_field(image, spec):
+    """(B, 1, H/stride, W/stride, 128): each descriptor of
+    :func:`compute_dense_sift` in the cell holding its window's center,
+    zeros where no window fits (the image border)."""
+    p = spec.sift
+    b, _, h, w = image.shape
+    ys, xs = sift_grid(h, w, p)
+    off = (p.support // 2) // p.stride
+    field = np.zeros((b, 1, h // p.stride, w // p.stride, p.dims))
+    field[:, 0, off:off + len(ys), off:off + len(xs)] = \
+        compute_dense_sift(image, p).reshape(b, len(ys), len(xs), p.dims)
+    return field
+
+
+def _ndi_depth(spec, channels):
+    spec.bands.validate(channels)
+    return 3
+
+
+class _Descriptor(NamedTuple):
+    field: Callable     # (image, spec) -> (B, C', H/u, W/u, *K) field
+    cell: Callable      # spec -> (u in pixels, what u is called)
+    depth: Callable     # (spec, image channels) -> C' · prod(K)
+    normalize: bool     # standardise each target patch
+
+
+# extractors are looked up by name when called, so a wrapper set on this
+# module is the one that runs
+_DESCRIPTORS = {
+    "raw": _Descriptor(lambda image, spec: image, lambda spec: (1, "pixel"),
+                       lambda spec, c: c, True),
+    "canny": _Descriptor(lambda image, spec: compute_canny(image, spec.canny),
+                         lambda spec: (1, "pixel"), lambda spec, c: c, True),
+    # NDI lies in [-1, 1] already
+    "ndi": _Descriptor(lambda image, spec: compute_ndi(image, spec.bands),
+                       lambda spec: (1, "pixel"), _ndi_depth, False),
+    "hog": _Descriptor(lambda image, spec: compute_hog(image, spec.hog),
+                       lambda spec: (spec.hog.cell_size, "HOG cell size"),
+                       lambda spec, c: c * spec.hog.n_bins, False),
+    "sift": _Descriptor(_sift_field, lambda spec: (spec.sift.stride, "SIFT grid stride"),
+                        lambda spec, c: spec.sift.dims, False),
+}
+
+
+def _cells_per_patch(spec, name, patch_size):
+    u, unit = _DESCRIPTORS[name].cell(spec)
+    if patch_size % u:
+        raise ValueError(f"patch size must be divisible by {unit}")
+    return patch_size // u
+
+
 def assemble_targets(image, spec, patch_size):
     """Targets for one batch: head name -> (B, L, width) array, in the
     spec's head order."""
     image = _check_image(image)
-    return {name: _TARGETS[name](image, spec, patch_size)
-            for name in spec.variant.split("+")}
-
-
-def _raw_targets(image, spec, patch_size):
-    return _per_patch_normalize(patchify_array(image, patch_size))
-
-
-def _canny_targets(image, spec, patch_size):
-    edges = compute_canny(image, spec.canny)
-    return _per_patch_normalize(patchify_array(edges, patch_size))
-
-
-def _ndi_targets(image, spec, patch_size):
-    ndi = compute_ndi(image, spec.bands)
-    # already bounded in [-1, 1]; no per-patch normalization
-    return patchify_array(ndi, patch_size)
-
-
-def _hog_targets(image, spec, patch_size):
-    hist = compute_hog(image, spec.hog)  # (B, C, CH, CW, bins)
-    b, c, ch, cw, nb = hist.shape
-    cells = patch_size // spec.hog.cell_size
-    gh, gw = ch // cells, cw // cells
-    x = hist.reshape(b, c, gh, cells, gw, cells, nb)
-    # per patch: channel-major, then cell rows, cell cols, bins
-    x = x.transpose(0, 2, 4, 1, 3, 5, 6)
-    return x.reshape(b, gh * gw, c * cells * cells * nb)
-
-
-def unpatchify_hog(patches, p, h, w, patch_size):
-    """Inverse of the HOG target layout: (B, L, C·cells²·bins) -> the
-    (B, C, H/cell, W/cell, bins) fields of :func:`compute_hog`."""
-    cells = patch_size // p.cell_size
-    gh, gw = h // patch_size, w // patch_size
-    x = np.reshape(patches, (len(patches), gh, gw, -1, cells, cells, p.n_bins))
-    x = x.transpose(0, 3, 1, 4, 2, 5, 6)
-    return x.reshape(len(x), -1, gh * cells, gw * cells, p.n_bins)
-
-
-def _sift_targets(image, spec, patch_size):
-    p = spec.sift
-    descr = compute_dense_sift(image, p)  # (B, G, dims)
-    b, _, h, w = image.shape
-    ys, xs = sift_grid(h, w, p)
-    gh, gw = h // patch_size, w // patch_size
-    slots = patch_size // p.stride
-    k_out = slots * slots * p.dims
-    out = np.zeros((b, gh * gw, k_out))
-    center_off = p.support // 2
-    # descriptor centers lie at corner + support/2; a patch owns the fixed
-    # slot positions congruent to that offset, zeros where the grid has no
-    # descriptor (image border)
-    for pr in range(gh):
-        for pc in range(gw):
-            patch = pr * gw + pc
-            for sr in range(slots):
-                for sc in range(slots):
-                    cy = pr * patch_size + sr * p.stride + center_off % p.stride
-                    cx = pc * patch_size + sc * p.stride + center_off % p.stride
-                    iy = (cy - center_off) // p.stride
-                    ix = (cx - center_off) // p.stride
-                    if 0 <= iy < len(ys) and 0 <= ix < len(xs):
-                        slot = (sr * slots + sc)
-                        g = iy * len(xs) + ix
-                        out[:, patch, slot * p.dims:(slot + 1) * p.dims] = descr[:, g]
-    return out
-
-
-_TARGETS = {"raw": _raw_targets, "canny": _canny_targets, "ndi": _ndi_targets,
-            "hog": _hog_targets, "sift": _sift_targets}
+    targets = {}
+    for name in spec.variant.split("+"):
+        d = _DESCRIPTORS[name]
+        x = patchify_array(d.field(image, spec), _cells_per_patch(spec, name, patch_size))
+        targets[name] = _per_patch_normalize(x) if d.normalize else x
+    return targets

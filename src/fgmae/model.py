@@ -9,12 +9,14 @@ only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import tensor as T
+from .features import patchify_array, unpatchify_array
 from .tensor import Tensor
 
 
@@ -129,6 +131,15 @@ def _sincos_1d(width, pos):
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
 
 
+@functools.cache
+def _pos_table(width, grid):
+    """The float32 :func:`sincos_pos_embed`, made once per geometry and
+    shared read-only by every model of it."""
+    table = sincos_pos_embed(width, grid).astype(np.float32)
+    table.flags.writeable = False
+    return table
+
+
 # ---------------------------------------------------------------------------
 # parameter initialization
 
@@ -150,19 +161,6 @@ def trunc_normal(generator, shape, std=0.02):
 
 
 # ---------------------------------------------------------------------------
-# tensor-side patchify
-
-
-def patchify(x, patch_size):
-    """(B, C, H, W) Tensor -> (B, L, patch²·C), differentiable."""
-    b, c, h, w = x.shape
-    gh, gw = h // patch_size, w // patch_size
-    x = T.reshape(x, b, c, gh, patch_size, gw, patch_size)
-    x = T.transpose(x, (0, 2, 4, 1, 3, 5))
-    return T.reshape(x, b, gh * gw, c * patch_size * patch_size)
-
-
-# ---------------------------------------------------------------------------
 # model
 
 
@@ -179,8 +177,8 @@ class FgMae:
         self.head_prefixes = {name: "head" if i == 0 else f"head.{name}"
                               for i, name in enumerate(self.heads)}
         c = config
-        self.enc_pos = sincos_pos_embed(c.enc_width, c.grid).astype(np.float32)
-        self.dec_pos = sincos_pos_embed(c.dec_width, c.grid).astype(np.float32)
+        self.enc_pos = _pos_table(c.enc_width, c.grid)
+        self.dec_pos = _pos_table(c.dec_width, c.grid)
         self.params = {}
         self._linear("embed", c.patch_size ** 2 * c.in_channels, c.enc_width)
         for i in range(c.enc_depth):
@@ -256,10 +254,11 @@ class FgMae:
     # -- pipeline ------------------------------------------------------------
 
     def encode(self, image, plan):
-        """Visible patches -> encoder tokens (B, L - L_m, K_en)."""
+        """Visible patches of the constant (B, C, H, W) Tensor ``image`` ->
+        encoder tokens (B, L - L_m, K_en)."""
         c = self.config
         p = self.params
-        patches = patchify(image, c.patch_size)
+        patches = Tensor(patchify_array(image.data, c.patch_size))
         tokens = T.matmul(patches, p["embed.w"]) + p["embed.b"]
         pos = Tensor(self.enc_pos[plan.ids_keep])  # (B, n_keep, K_en)
         tokens = T.gather_tokens(tokens, plan.ids_keep) + pos
@@ -336,8 +335,6 @@ def _masked_mse(pred, target, plan):
 def render_ndi_false_color(pred_patches, image_size, patch_size):
     """(B, L, p²·3) NDI predictions -> (B, 3, H, W) uint8 false color,
     [-1, 1] mapped affinely onto [0, 255]."""
-    from .features import unpatchify_array
-
     arr = np.asarray(pred_patches.data if isinstance(pred_patches, Tensor) else pred_patches)
     img = unpatchify_array(arr, 3, image_size, image_size, patch_size)
     scaled = np.clip((img + 1.0) * 127.5, 0.0, 255.0)

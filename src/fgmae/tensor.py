@@ -80,17 +80,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def numpy(self):
-        return self.data
-
-    def astype(self, dtype):
-        out = _node(self.data.astype(dtype), (self,))
-        if out.requires_grad:
-            def _bw(g, a=self):
-                _accum(a, g.astype(a.data.dtype))
-            out._backward = _bw
-        return out
-
     # -- graph machinery -----------------------------------------------------
 
     def backward(self, grad=None):

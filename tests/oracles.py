@@ -129,6 +129,40 @@ def canny_reference(channel, sigma=1.4, kernel_size=5, low=0.1, high=0.2):
 
 
 # ---------------------------------------------------------------------------
+# SIFT target oracle: each patch slot looked up in the descriptor grid, one
+# at a time
+
+
+def sift_targets_reference(image, spec, patch_size):
+    p = spec.sift
+    descr = F.compute_dense_sift(image, p)  # (B, G, dims)
+    b, _, h, w = image.shape
+    ys, xs = F.sift_grid(h, w, p)
+    gh, gw = h // patch_size, w // patch_size
+    slots = patch_size // p.stride
+    k_out = slots * slots * p.dims
+    out = np.zeros((b, gh * gw, k_out))
+    center_off = p.support // 2
+    # descriptor centers lie at corner + support/2; a patch owns the fixed
+    # slot positions congruent to that offset, zeros where the grid has no
+    # descriptor (image border)
+    for pr in range(gh):
+        for pc in range(gw):
+            patch = pr * gw + pc
+            for sr in range(slots):
+                for sc in range(slots):
+                    cy = pr * patch_size + sr * p.stride + center_off % p.stride
+                    cx = pc * patch_size + sc * p.stride + center_off % p.stride
+                    iy = (cy - center_off) // p.stride
+                    ix = (cx - center_off) // p.stride
+                    if 0 <= iy < len(ys) and 0 <= ix < len(xs):
+                        slot = (sr * slots + sc)
+                        g = iy * len(xs) + ix
+                        out[:, patch, slot * p.dims:(slot + 1) * p.dims] = descr[:, g]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # metric oracles: brute force over small instances
 
 

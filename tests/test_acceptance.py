@@ -230,7 +230,7 @@ def test_criterion_6_overfit_sanity():
     HOG targets: loss drops below 10% of its initial value in 500 steps."""
     t0 = time.time()
     imgs = np.stack([D.synth_sar_scene(
-        D.SyntheticSceneParams(seed=i, size=32, channels=2, looks=4))[0]
+        D.SyntheticSceneParams(seed=i, size=32, looks=4))[0]
         for i in range(8)])
     spec = F.FeatureSpec("hog", hog=F.HogParams(cell_size=4))
     cfg = M.ModelConfig(image_size=32, patch_size=8, in_channels=2,

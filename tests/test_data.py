@@ -155,6 +155,12 @@ class TestPpm:
         with pytest.raises(ValueError):
             D.write_ppm(str(tmp_path / "f.ppm"), np.zeros((3, 2, 2)))
 
+    def test_rejects_channels_last(self, tmp_path):
+        # (H, W, 3) would pass as a 3 px wide image of H rows and W bands
+        with pytest.raises(ValueError, match="expects"):
+            D.write_ppm(str(tmp_path / "f.ppm"), np.zeros((8, 8, 3), np.uint8))
+        assert not (tmp_path / "f.ppm").exists()
+
     def test_byte_stable(self, tmp_path):
         img = np.random.default_rng(1).integers(0, 256, (3, 8, 8),
                                                 dtype=np.uint8)
@@ -211,7 +217,7 @@ class TestScenes:
 
     def test_multispectral_shapes(self):
         img, mask, labels = D.synth_multispectral_scene(
-            D.SyntheticSceneParams(seed=0, size=64, channels=13))
+            D.SyntheticSceneParams(seed=0, size=64))
         assert img.shape == (13, 64, 64)
         assert mask.shape == (64, 64)
         assert labels.shape == (D.MS_CLASSES,)
@@ -219,28 +225,26 @@ class TestScenes:
 
     def test_multispectral_labels_match_mask(self):
         img, mask, labels = D.synth_multispectral_scene(
-            D.SyntheticSceneParams(seed=3, size=64, channels=13))
+            D.SyntheticSceneParams(seed=3, size=64))
         present = set(np.unique(mask).astype(int))
         assert {i for i, v in enumerate(labels) if v} == present
 
     def test_sar_shapes_and_determinism(self):
-        p = D.SyntheticSceneParams(seed=5, size=64, channels=2, looks=1)
+        p = D.SyntheticSceneParams(seed=5, size=64, looks=1)
         a = D.synth_sar_scene(p)[0]
         b = D.synth_sar_scene(p)[0]
         assert a.shape == (2, 64, 64)
         np.testing.assert_array_equal(a, b)
 
     def test_sar_class_id_respected(self):
-        p = D.SyntheticSceneParams(seed=6, size=64, channels=2)
+        p = D.SyntheticSceneParams(seed=6, size=64)
         for cid in range(D.SAR_CLASSES):
             _, _, labels = D.synth_sar_scene(p, class_id=cid)
             assert labels.argmax() == cid
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            D.SyntheticSceneParams(seed=0, size=64, channels=5)
-        with pytest.raises(ValueError):
-            D.SyntheticSceneParams(seed=0, size=64, channels=2, looks=0)
+            D.SyntheticSceneParams(seed=0, size=64, looks=0)
 
     def test_synthesize_dataset_layout(self, tmp_path):
         out = str(tmp_path / "ds")

@@ -8,7 +8,7 @@ from fgmae import features as F
 from fgmae.features import (BandMap, CannyParams, FeatureSpec, HogParams,
                             SiftParams)
 
-from oracles import canny_reference, hog_reference
+from oracles import canny_reference, hog_reference, sift_targets_reference
 
 
 def _img(seed, c, h, w):
@@ -73,7 +73,7 @@ class TestHog:
         # 2 images of 2 x 3 patches of 16 px: rows, columns and images apart
         img = np.random.default_rng(channels).random((2, channels, 32, 48))
         p = HogParams(cell_size=cell_size)
-        targets = F._hog_targets(img, FeatureSpec("hog", hog=p), 16)
+        targets = F.assemble_targets(img, FeatureSpec("hog", hog=p), 16)["hog"]
         back = F.unpatchify_hog(targets, p, 32, 48, 16)
         assert back.tobytes() == F.compute_hog(img, p).tobytes()
 
@@ -171,6 +171,20 @@ class TestDenseSift:
         assert (np.diff(ys) == p.stride).all()
         assert ys[0] == 0 and ys[-1] + p.support <= 64
 
+    # (stride, support, patch, size): a window center off the stride grid
+    # (support 10, stride 4), grids that stop short of the border, one
+    # descriptor per patch and several
+    @pytest.mark.parametrize("stride, support, patch, size", [
+        (8, 16, 8, 32), (4, 10, 8, 32), (4, 16, 8, 40), (2, 8, 4, 20),
+        (4, 8, 16, 48), (8, 16, 16, 48), (4, 12, 8, 24), (2, 6, 8, 16)])
+    def test_targets_match_slot_oracle(self, stride, support, patch, size):
+        img = np.random.default_rng(size + stride).random((2, 2, size, size))
+        spec = FeatureSpec("sift", sift=SiftParams(
+            stride=stride, support=support, spatial_bins=2 if support % 4 else 4))
+        targets = F.assemble_targets(img, spec, patch)["sift"]
+        ref = sift_targets_reference(img, spec, patch)
+        assert targets.shape == ref.shape and targets.tobytes() == ref.tobytes()
+
     def test_grayscale_reduce_is_channel_mean(self):
         img = _img(43, 4, 8, 8)
         np.testing.assert_allclose(F.grayscale_reduce(img)[:, 0],
@@ -184,6 +198,18 @@ class TestPatching:
         assert p.shape == (1, 16, 8 * 8 * 3)
         back = F.unpatchify_array(p, 3, 32, 32, 8)
         np.testing.assert_allclose(back, img, atol=1e-12)
+
+    def test_trailing_axes_roundtrip_and_order(self):
+        # a (B, C, H, W, 2, 3) field of 4x4-cell patches: channel, rows,
+        # columns, then the trailing block inside each patch
+        field = np.random.default_rng(52).random((2, 3, 8, 12, 2, 3))
+        p = F.patchify_array(field, 4)
+        assert p.shape == (2, 6, 3 * 4 * 4 * 6)
+        b, c, r, col = 1, 2, 5, 9
+        cut = p[b, (r // 4) * 3 + col // 4].reshape(3, 4, 4, 2, 3)
+        assert (cut[c, r % 4, col % 4] == field[b, c, r, col]).all()
+        back = F.unpatchify_array(p, 3, 8, 12, 4, (2, 3))
+        assert back.tobytes() == field.tobytes()
 
     def test_channel_major_layout(self):
         # within one patch row vector: all of channel 0 first, then channel 1
@@ -222,17 +248,36 @@ class TestFeatureSpec:
         with pytest.raises(ValueError):
             spec.heads(channels, 8)
 
+    @pytest.mark.parametrize("spec, channels, message", [
+        (FeatureSpec("hog", hog=HogParams(cell_size=3)), 1, "HOG cell size"),
+        (FeatureSpec("sift", sift=SiftParams(stride=3, support=12)), 1,
+         "SIFT grid stride"),
+        (FeatureSpec("ndi"), 2, "band map")])
+    def test_targets_reject_what_heads_reject(self, spec, channels, message):
+        with pytest.raises(ValueError, match=message):
+            spec.heads(channels, 8)
+        with pytest.raises(ValueError, match=message):
+            F.assemble_targets(_img(63, channels, 24, 24), spec, 8)
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             FeatureSpec("sobel")
 
     def test_assemble_targets_shapes(self):
-        img = _img(60, 2, 32, 32)
-        for variant in ("raw", "hog", "canny", "sift"):
-            spec = FeatureSpec(variant, hog=HogParams(cell_size=4))
-            targets = F.assemble_targets(img, spec, 8)
-            assert {k: v.shape for k, v in targets.items()} == \
-                {variant: (1, 16, spec.heads(2, 8)[variant])}
+        # every head's width is its target's last axis
+        for channels in (1, 2, 13):
+            img = np.random.default_rng(channels).random((2, channels, 32, 32))
+            for patch, cell, stride in ((8, 4, 4), (8, 8, 8), (16, 4, 8),
+                                        (16, 8, 4)):
+                for variant in F.VARIANTS:
+                    if "ndi" in variant and channels != 13:
+                        continue
+                    spec = FeatureSpec(variant, hog=HogParams(cell_size=cell),
+                                       sift=SiftParams(stride=stride))
+                    targets = F.assemble_targets(img, spec, patch)
+                    assert {k: v.shape for k, v in targets.items()} == \
+                        {k: (2, (32 // patch) ** 2, w)
+                         for k, w in spec.heads(channels, patch).items()}
 
     def test_assemble_targets_dual(self):
         img = _img(61, 13, 32, 32)

@@ -110,6 +110,15 @@ class TestPosEmbed:
         e = M.sincos_pos_embed(64, 4)
         assert len({tuple(np.round(r, 9)) for r in e}) == 16
 
+    def test_models_share_one_read_only_float32_table(self):
+        a, b = _model(), _model()
+        assert a.enc_pos is b.enc_pos and a.dec_pos is b.dec_pos
+        for table, width in ((a.enc_pos, TINY.enc_width),
+                             (a.dec_pos, TINY.dec_width)):
+            assert not table.flags.writeable
+            assert table.tobytes() == M.sincos_pos_embed(
+                width, TINY.grid).astype(np.float32).tobytes()
+
     def test_width_must_divide_by_four(self):
         with pytest.raises(ValueError):
             M.sincos_pos_embed(30, 4)
@@ -192,16 +201,10 @@ class TestForward:
         assert made[0] == 0 and not out.requires_grad
         assert out.data.tobytes() == ref.data.tobytes()
 
-    def test_patchify_tensor_matches_array(self):
-        img = np.random.default_rng(9).random((2, 3, 16, 16))
-        a = M.patchify(Tensor(img), 8).data
-        b = F.patchify_array(img, 8)
-        np.testing.assert_allclose(a, b, atol=1e-12)
-
     def test_unpatchify_roundtrip(self):
         img = np.random.default_rng(10).random((1, 2, 16, 16))
-        p = M.patchify(Tensor(img), 4)
-        back = F.unpatchify_array(p.data, 2, 16, 16, 4)
+        p = F.patchify_array(img, 4)
+        back = F.unpatchify_array(p, 2, 16, 16, 4)
         np.testing.assert_allclose(back, img, atol=1e-12)
 
 
