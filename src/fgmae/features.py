@@ -113,19 +113,56 @@ def _check_image(image):
     return image
 
 
+# whole images per correlation block: about this many elements, so that a
+# block's operands stay in cache
+_CONV_BLOCK = 1 << 13
+
+
 def _conv_fixed_order(x, kernel):
     """2-D correlation over the last two axes, for any leading axes, with
-    replicate borders, accumulating kernel taps in row-major order
-    (bitwise-matched by the scalar-loop test oracles)."""
+    replicate borders.
+
+    Bitwise contract, for a finite float64 kernel: each output is
+    ``0 + k[0, 0]·p[0, 0] + k[0, 1]·p[0, 1] + ...``, summed left to right
+    over the taps in row-major order, where ``p`` is the window of the
+    padded input under the kernel. Zero taps are summed too, so ±inf, −0
+    and the places of NaNs come out as that sum makes them; the sign bit of
+    a NaN is numpy's pick when both addends are NaN, which follows the
+    array layout. A tap whose sign bit is set subtracts ``|k|·p``, the same
+    bits as adding ``k·p``. The input times ``|k|`` is computed once per
+    distinct magnitude and block, and a ±1 tap adds or subtracts the input
+    itself. The scalar-loop test oracles check all of this."""
     kh, kw = kernel.shape
+    h, w = x.shape[-2:]
     pad = [(0, 0)] * (x.ndim - 2) + [(kh // 2, kh // 2), (kw // 2, kw // 2)]
     xp = np.pad(x, pad, mode="edge")
-    out = np.zeros_like(x)
-    h, w = x.shape[-2:]
-    for i in range(kh):
-        for j in range(kw):
-            out += kernel[i, j] * xp[..., i:i + h, j:j + w]
-    return out
+    hp, wp = xp.shape[-2:]
+    flat = xp.reshape(-1)
+    # output (n, r, c) sits at n·hp·wp + r·wp + c of the flat padded stack,
+    # and tap (i, j) reads the input i·wp + j further on
+    mags, taps = [], []
+    for (i, j), k in np.ndenumerate(kernel):
+        mag = abs(k)
+        if mag != 1.0 and mag not in mags:
+            mags.append(mag)
+        # a ±1 tap reads the input itself, the last of a block's operands
+        taps.append((i * wp + j, mags.index(mag) if mag != 1.0 else -1,
+                     np.subtract if np.signbit(k) else np.add))
+    span, size = taps[-1][0], hp * wp
+    step = max(1, _CONV_BLOCK // size) * size
+    n = flat.size - span
+    out = np.empty((flat.size // size, h, w), dtype=x.dtype)
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        src = flat[s:e + span]
+        operands = [src * m for m in mags] + [src]
+        # whole images, so that the block crops by a reshape
+        acc = np.zeros(-(-(e - s) // size) * size, dtype=x.dtype)
+        part = acc[:e - s]
+        for off, which, op in taps:
+            op(part, operands[which][off:off + e - s], part)
+        out[s // size:(s + acc.size) // size] = acc.reshape(-1, hp, wp)[:, :h, :w]
+    return out.reshape(x.shape)
 
 
 def _grad_xy(x):
@@ -219,13 +256,24 @@ def gaussian_kernel(sigma, size):
 SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
 SOBEL_Y = np.array([[-1.0, -2.0, -1.0], [0.0, 0.0, 0.0], [1.0, 2.0, 1.0]])
 
-# neighbor offsets per 45-degree orientation sector
-_NMS_NEIGHBORS = {
-    0: ((0, -1), (0, 1)),
-    1: ((-1, 1), (1, -1)),
-    2: ((-1, 0), (1, 0)),
-    3: ((-1, -1), (1, 1)),
-}
+# (row, col) offsets of the two neighbours compared in each 45-degree
+# orientation sector
+_NMS_NEIGHBORS = (((0, -1), (0, 1)), ((-1, 1), (1, -1)),
+                  ((-1, 0), (1, 0)), ((-1, -1), (1, 1)))
+
+
+def _sector(ang):
+    """Orientation sector 0-3 of angles in degrees from ``arctan2``, the
+    sector ``floor((ang % 180 + 22.5) / 45) % 4`` gives: a negative angle
+    is turned by 180 instead of taking ``% 180``, and angles from 157.5 to
+    180 land in sector 4, which is sector 0. Overwrites ``ang``."""
+    np.add(ang, 180.0, out=ang, where=ang < 0.0)
+    ang += 22.5
+    ang /= 45.0
+    sector = np.empty(ang.shape, dtype=np.intp)
+    np.floor(ang, out=sector, casting="unsafe")
+    sector &= 3
+    return sector
 
 
 # hysteresis connectivity over a (B*C, H, W) stack: 8-neighbours within an
@@ -249,16 +297,21 @@ def compute_canny(image, p=CannyParams()):
     gx = _conv_fixed_order(blurred, SOBEL_X)
     gy = _conv_fixed_order(blurred, SOBEL_Y)
     mag = np.sqrt(gx * gx + gy * gy)
-    ang = np.degrees(np.arctan2(gy, gx)) % 180.0
-    sector = (np.floor((ang + 22.5) / 45.0).astype(np.int64)) % 4
+    sector = _sector(np.degrees(np.arctan2(gy, gx)))
 
-    suppressed = np.zeros_like(mag)
-    padded = np.pad(mag, ((0, 0), (1, 1), (1, 1)), mode="constant")
-    for s, ((r1, c1), (r2, c2)) in _NMS_NEIGHBORS.items():
-        n1 = padded[:, 1 + r1:1 + r1 + h, 1 + c1:1 + c1 + w]
-        n2 = padded[:, 1 + r2:1 + r2 + h, 1 + c2:1 + c2 + w]
-        keep = (sector == s) & (mag >= n1) & (mag >= n2)
-        suppressed[keep] = mag[keep]
+    # each pixel's two neighbours, gathered once each from the zero-bordered
+    # magnitudes through its sector's flat offsets
+    padded = np.pad(mag, ((0, 0), (1, 1), (1, 1)), mode="constant").reshape(-1)
+    wp = w + 2
+    first, second = np.array([[dr * wp + dc for dr, dc in pair]
+                              for pair in _NMS_NEIGHBORS]).T
+    at = (np.arange(b * c)[:, None, None] * ((h + 2) * wp)
+          + np.arange(1, h + 1)[:, None] * wp + np.arange(1, w + 1))
+    at += first.take(sector)
+    keep = mag >= padded.take(at)
+    at += (second - first).take(sector)
+    keep &= mag >= padded.take(at)
+    suppressed = np.where(keep, mag, 0.0)
 
     mmax = mag.max(axis=(1, 2), keepdims=True)
     strong = (suppressed >= p.high * mmax) & (mmax > 0.0)

@@ -11,6 +11,7 @@ import math
 import os
 
 import numpy as np
+from scipy import ndimage
 
 from fgmae import data as D
 from fgmae import evaluate as E
@@ -126,6 +127,63 @@ def canny_reference(channel, sigma=1.4, kernel_size=5, low=0.1, high=0.2):
                     edges[rr, cc] = True
                     stack.append((rr, cc))
     return edges.astype(np.float64)
+
+
+# ---------------------------------------------------------------------------
+# Batched correlation and Canny as they were before the correlation became
+# shifted adds over the flat padded stack and suppression one gather per
+# neighbour: one full-size product and sum per tap, four masked passes
+
+
+def conv_fixed_order_reference(x, kernel):
+    kh, kw = kernel.shape
+    pad = [(0, 0)] * (x.ndim - 2) + [(kh // 2, kh // 2), (kw // 2, kw // 2)]
+    xp = np.pad(x, pad, mode="edge")
+    out = np.zeros_like(x)
+    h, w = x.shape[-2:]
+    for i in range(kh):
+        for j in range(kw):
+            out += kernel[i, j] * xp[..., i:i + h, j:j + w]
+    return out
+
+
+_NMS_NEIGHBORS_REFERENCE = {
+    0: ((0, -1), (0, 1)),
+    1: ((-1, 1), (1, -1)),
+    2: ((-1, 0), (1, 0)),
+    3: ((-1, -1), (1, 1)),
+}
+
+
+def compute_canny_reference(image, p=F.CannyParams()):
+    image = F._check_image(image).astype(np.float64)
+    b, c, h, w = image.shape
+    if h < p.kernel_size or w < p.kernel_size:
+        raise ValueError("image smaller than the Gaussian kernel")
+    x = image.reshape(b * c, h, w)
+    blurred = conv_fixed_order_reference(
+        x, F.gaussian_kernel(p.gaussian_sigma, p.kernel_size))
+    gx = conv_fixed_order_reference(blurred, F.SOBEL_X)
+    gy = conv_fixed_order_reference(blurred, F.SOBEL_Y)
+    mag = np.sqrt(gx * gx + gy * gy)
+    ang = np.degrees(np.arctan2(gy, gx)) % 180.0
+    sector = (np.floor((ang + 22.5) / 45.0).astype(np.int64)) % 4
+
+    suppressed = np.zeros_like(mag)
+    padded = np.pad(mag, ((0, 0), (1, 1), (1, 1)), mode="constant")
+    for s, ((r1, c1), (r2, c2)) in _NMS_NEIGHBORS_REFERENCE.items():
+        n1 = padded[:, 1 + r1:1 + r1 + h, 1 + c1:1 + c1 + w]
+        n2 = padded[:, 1 + r2:1 + r2 + h, 1 + c2:1 + c2 + w]
+        keep = (sector == s) & (mag >= n1) & (mag >= n2)
+        suppressed[keep] = mag[keep]
+
+    mmax = mag.max(axis=(1, 2), keepdims=True)
+    strong = (suppressed >= p.high * mmax) & (mmax > 0.0)
+    labels, n = ndimage.label(suppressed >= p.low * mmax,
+                              structure=F._HYSTERESIS_STRUCTURE)
+    has_strong = np.zeros(n + 1, dtype=bool)
+    has_strong[labels[strong]] = True
+    return has_strong[labels].astype(np.float64).reshape(b, c, h, w)
 
 
 # ---------------------------------------------------------------------------

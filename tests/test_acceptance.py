@@ -5,7 +5,11 @@ ground at unit granularity. Some tests here train real (tiny) models and take
 minutes on CPU.
 """
 
+import dataclasses
+import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -188,19 +192,25 @@ def test_criterion_4_masked_loss_contract():
             assert p.n_keep == expect
 
 
+_CRITERION_5_CONFIG = P.PretrainConfig(
+    model=M.ModelConfig(image_size=32, patch_size=8, in_channels=2,
+                        enc_width=32, enc_depth=1, enc_heads=4,
+                        dec_width=32, dec_depth=1, dec_heads=4,
+                        mask_ratio=0.7),
+    feature=F.FeatureSpec("hog", hog=F.HogParams(cell_size=4)),
+    augment=D.AugmentationConfig(scale_min=0.5, scale_max=1.0, out_size=32),
+    epochs=4, batch_size=2, base_lr=1e-3, warmup_epochs=1, seed=11)
+
+
+def _criterion_5_data(tmp_path):
+    return D.synthesize_dataset(str(tmp_path / "data"), "SAR", n_locations=4,
+                                seed=3, looks=1, size=32)
+
+
 def test_criterion_5_determinism(tmp_path):
     t0 = time.time()
-    manifest = D.synthesize_dataset(str(tmp_path / "data"), "SAR",
-                                    n_locations=4, seed=3, looks=1, size=32)
-    cfg = P.PretrainConfig(
-        model=M.ModelConfig(image_size=32, patch_size=8, in_channels=2,
-                            enc_width=32, enc_depth=1, enc_heads=4,
-                            dec_width=32, dec_depth=1, dec_heads=4,
-                            mask_ratio=0.7),
-        feature=F.FeatureSpec("hog", hog=F.HogParams(cell_size=4)),
-        augment=D.AugmentationConfig(scale_min=0.5, scale_max=1.0,
-                                     out_size=32),
-        epochs=4, batch_size=2, base_lr=1e-3, warmup_epochs=1, seed=11)
+    manifest = _criterion_5_data(tmp_path)
+    cfg = _CRITERION_5_CONFIG
     r1 = P.pretrain_run(cfg, manifest, str(tmp_path / "r1"))
     r2 = P.pretrain_run(cfg, manifest, str(tmp_path / "r2"))
     assert r1.loss_log == r2.loss_log
@@ -223,6 +233,39 @@ def test_criterion_5_determinism(tmp_path):
     assert E.params_digest(resumed.model.params) == \
         E.params_digest(r1.model.params)
     assert time.time() - t0 < 120.0
+
+
+_PRETRAIN_CHILD = """
+import json, sys
+from fgmae import pretrain as P
+cfg = P.from_dict(P.PretrainConfig, json.loads(sys.argv[1]))
+P.pretrain_run(cfg, sys.argv[2], sys.argv[3])
+"""
+
+
+def test_criterion_5_blas_threads(tmp_path):
+    """Criterion 5's run in a child process with OpenBLAS on one thread and
+    on two, the variable set for each child only: the loss logs and the
+    checkpoint tensors are the same bytes. Criterion 5's products are too
+    small for OpenBLAS to split over threads, so this shows that the
+    setting alone changes nothing, not that a threaded GEMM is bitwise."""
+    manifest = _criterion_5_data(tmp_path)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    config = json.dumps(dataclasses.asdict(_CRITERION_5_CONFIG))
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _PRETRAIN_CHILD, config,
+                              manifest, str(tmp_path / threads)],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, (threads, out.stderr)
+    one, two = tmp_path / "1", tmp_path / "2"
+    assert (one / "loss_log.csv").read_bytes() == (two / "loss_log.csv").read_bytes()
+    tensors = sorted(n for n in os.listdir(one / "checkpoint") if n.endswith(".fgmr"))
+    assert tensors == sorted(n for n in os.listdir(two / "checkpoint")
+                             if n.endswith(".fgmr"))
+    for n in tensors:
+        assert (one / "checkpoint" / n).read_bytes() == \
+            (two / "checkpoint" / n).read_bytes(), n
 
 
 def test_criterion_6_overfit_sanity():

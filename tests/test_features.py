@@ -1,14 +1,23 @@
 """Engineered feature extractors versus independent scalar-loop oracles,
 plus patch bookkeeping and target assembly."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from fgmae import data as D
 from fgmae import features as F
 from fgmae.features import (BandMap, CannyParams, FeatureSpec, HogParams,
                             SiftParams)
+from fgmae.rng import Rng
 
-from oracles import canny_reference, hog_reference, sift_targets_reference
+from oracles import (_conv_scalar, canny_reference, compute_canny_reference,
+                     conv_fixed_order_reference, hog_reference,
+                     sift_targets_reference)
 
 
 def _img(seed, c, h, w):
@@ -23,6 +32,30 @@ def _batched_stack():
     img[1, 0] = 0.0
     img[2, 1] *= 1e-2
     return img
+
+
+@pytest.fixture(scope="module")
+def ms_batches(tmp_path_factory):
+    """Two 13-band training batches as pretraining assembles them: 32 px
+    crops of 64 px synthetic MS scenes, 8 per batch."""
+    manifest = D.synthesize_dataset(str(tmp_path_factory.mktemp("ms")), "MS",
+                                    n_locations=4, seed=8, looks=1, size=64)
+    paths = [os.path.join(os.path.dirname(manifest), e.path)
+             for e in D.read_manifest(manifest)]
+    aug = D.AugmentationConfig(scale_min=0.2, scale_max=1.0, out_size=32)
+    sample = Rng(0).child("sample")
+    return [D.augmented_batch(paths[k:k + 8], [sample.at(k + j) for j in range(8)],
+                              aug, 13) for k in (0, 8)]
+
+
+def _special(seed, shape):
+    """Random values with NaN, ±inf and −0 among them."""
+    gen = np.random.default_rng(seed)
+    x = gen.random(shape)
+    picks = gen.integers(0, 10, shape)
+    for k, v in enumerate((np.nan, np.inf, -np.inf, -0.0)):
+        x[picks == k] = v
+    return x
 
 
 class TestNdi:
@@ -139,6 +172,93 @@ class TestCanny:
         assert k.shape == (5, 5)
         np.testing.assert_allclose(k.sum(), 1.0, atol=1e-12)
         np.testing.assert_allclose(k, k.T, atol=1e-15)
+
+    def test_same_bytes_as_masked_pass_reference(self, ms_batches):
+        plateau = np.full((2, 3, 16, 16), 0.25)
+        plateau[:, :, 4:12, 4:12] = 0.75
+        plateau[1, 2] = 0.5
+        cases = [*ms_batches, np.zeros((2, 3, 16, 16)),
+                 np.full((1, 2, 16, 16), -0.0), plateau,
+                 _special(80, (2, 3, 20, 24)), _special(81, (1, 2, 8, 8))]
+        for img in cases:
+            with np.errstate(invalid="ignore"):
+                ours = F.compute_canny(img)
+                ref = compute_canny_reference(img)
+            assert ours.tobytes() == ref.tobytes()
+        assert F.compute_canny(ms_batches[0]).sum() > 0
+
+    def test_sector_without_mod(self):
+        """The sector step adds 180 to negative angles instead of taking
+        ``% 180``; it must pick the sector ``% 180`` does at ±0, ±180, the
+        sector boundaries, their neighbouring floats and across arctan2."""
+        edges = [0.0, -0.0, 180.0, -180.0] + [22.5 + 45.0 * k for k in range(-4, 4)]
+        near = [np.nextafter(a, to) for a in edges for to in (-np.inf, np.inf)]
+        gen = np.random.default_rng(0)
+        y, x = gen.standard_normal((2, 10 ** 6))
+        signed = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf])
+        ys, xs = np.meshgrid(signed, signed)
+        ang = np.concatenate([edges, near, np.degrees(np.arctan2(y, x)),
+                              np.degrees(np.arctan2(ys, xs)).ravel()])
+        expect = np.floor((ang % 180.0 + 22.5) / 45.0).astype(np.int64) % 4
+        assert (F._sector(ang.copy()) == expect).all()
+
+
+def _assert_same_bits_but_nan_signs(a, b):
+    """Equal bytes everywhere but in NaNs, which must sit at the same places.
+    When both operands are NaN, numpy's add returns one or the other
+    depending on the loop length and the element's place in it, so a NaN's
+    sign bit follows the array layout, not the arithmetic."""
+    nan = np.isnan(a)
+    assert (nan == np.isnan(b)).all()
+    assert a[~nan].tobytes() == b[~nan].tobytes()
+
+
+_TAPS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.25, -0.25]),
+                  st.floats(-3.0, 3.0))
+_VALUES = st.one_of(st.floats(-1e3, 1e3),
+                    st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]))
+
+
+@st.composite
+def _correlation_case(draw):
+    kernel = draw(hnp.arrays(np.float64, (draw(st.integers(1, 5)),
+                                          draw(st.integers(1, 5))), elements=_TAPS))
+    lead = draw(st.lists(st.integers(1, 3), max_size=2))
+    shape = (*lead, draw(st.integers(1, 7)), draw(st.integers(1, 7)))
+    return draw(hnp.arrays(np.float64, shape, elements=_VALUES)), kernel
+
+
+class TestCorrelation:
+    @settings(max_examples=300, deadline=None)
+    @given(_correlation_case())
+    def test_same_bytes_as_scalar_loop_and_reference(self, case):
+        x, kernel = case
+        with np.errstate(invalid="ignore", over="ignore"):
+            ours = F._conv_fixed_order(x, kernel)
+            ref = conv_fixed_order_reference(x, kernel)
+            scalar = np.array([_conv_scalar(x[i], kernel)
+                               for i in np.ndindex(x.shape[:-2])]).reshape(x.shape)
+        assert ours.shape == x.shape and ours.dtype == x.dtype
+        _assert_same_bits_but_nan_signs(ours, ref)
+        _assert_same_bits_but_nan_signs(ours, scalar)
+
+    def test_blocks_of_whole_images(self):
+        # 40 images of 36 x 36 padded pixels: several blocks, the last short
+        x = np.random.default_rng(82).standard_normal((4, 10, 32, 32))
+        kernel = F.gaussian_kernel(1.4, 5)
+        assert (F._conv_fixed_order(x, kernel).tobytes()
+                == conv_fixed_order_reference(x, kernel).tobytes())
+
+    @pytest.mark.parametrize("extract", [
+        lambda img: F.compute_hog(img, HogParams(cell_size=4)),
+        lambda img: F.compute_dense_sift(img, SiftParams(stride=4, support=8)),
+    ], ids=["hog", "sift"])
+    def test_extractors_keep_their_bytes(self, extract, monkeypatch):
+        img = np.random.default_rng(83).random((2, 3, 16, 16))
+        img[0, 1, 4:8, 4:8] = -0.0
+        ours = extract(img)
+        monkeypatch.setattr(F, "_conv_fixed_order", conv_fixed_order_reference)
+        assert extract(img).tobytes() == ours.tobytes()
 
 
 class TestDenseSift:
