@@ -68,10 +68,25 @@ def _load_json(path):
 
 
 def _default_seed(args):
+    """--seed, else the FGMAE_SEED environment variable, else 0."""
     if getattr(args, "seed", None) is not None:
         return args.seed
-    env = os.environ.get("FGMAE_SEED")
-    return int(env) if env else 0
+    env = os.environ.get("FGMAE_SEED") or "0"
+    try:
+        return int(env)
+    except ValueError:
+        _fail("config", f"FGMAE_SEED must be an integer, got {env!r}")
+
+
+def _manifest(raw, args):
+    """The manifest path: --manifest, else the config's ``manifest`` key,
+    which is taken out of ``raw`` either way."""
+    manifest = raw.pop("manifest", None)
+    manifest = args.manifest or manifest
+    if not isinstance(manifest, str):
+        _fail("config", "no manifest path given (config key or --manifest), "
+              f"got {manifest!r}")
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -79,12 +94,13 @@ def _default_seed(args):
 
 
 def cmd_synth(args):
-    for flag, low in (("n", 1), ("looks", 1),
+    args.seed = _default_seed(args)
+    for flag, low in (("n", 1), ("looks", 1), ("seed", 0),
                       ("size", D.MIN_SCENE_SIZE[args.modality])):
         if getattr(args, flag) < low:
             _fail("config", f"--{flag} must be >= {low}")
     manifest = D.synthesize_dataset(args.out, args.modality, args.n,
-                                    _default_seed(args), looks=args.looks,
+                                    args.seed, looks=args.looks,
                                     size=args.size)
     print(f"wrote {args.n * 4} scenes, manifest {manifest}")
     return 0
@@ -131,11 +147,7 @@ def _parse(cls, raw, args, flags):
 
 def cmd_pretrain(args):
     raw = _load_json(args.config)
-    manifest = raw.pop("manifest", None)
-    manifest = args.manifest or manifest
-    if not isinstance(manifest, str):
-        _fail("config", "no manifest path given (config key or --manifest), "
-              f"got {manifest!r}")
+    manifest = _manifest(raw, args)
     cfg = _parse(P.PretrainConfig, raw, args, ("seed", "epochs"))
     print(f"config_digest={cfg.digest()}")
     trainer = P.pretrain_run(cfg, manifest, args.out)
@@ -168,7 +180,7 @@ def cmd_ablate(args):
     seeds = raw.pop("seeds", [0, 1, 2])
     probe_raw = raw.pop("probe", {})
     include_random = raw.pop("include_random_init", False)
-    raw.pop("manifest", None)
+    manifest = _manifest(raw, args)
     if not (isinstance(spec_names, list) and spec_names
             and all(isinstance(s, str) for s in spec_names)):
         _fail("config", "ablation config needs 'specs', a non-empty list of "
@@ -184,7 +196,7 @@ def cmd_ablate(args):
     specs = [P.from_dict(P.PretrainConfig, {**raw, "feature": {
         **feature, "variant": name}}).feature for name in spec_names]
     print(f"config_digest={base_cfg.digest()}")
-    rows = E.feature_ablation_study(base_cfg, specs, seeds, args.manifest,
+    rows = E.feature_ablation_study(base_cfg, specs, seeds, manifest,
                                     args.out, probe_cfg,
                                     include_random_init=include_random)
     os.makedirs(args.out, exist_ok=True)
@@ -234,8 +246,7 @@ def cmd_render(args):
         if args.mode not in model.heads:
             _fail("feature", f"checkpoint has no {args.mode} head")
         cfg = model.config
-        # the probe's evaluation view: zero-padded, resized
-        image = np.stack([E._eval_view(im, cfg) for im in image])
+        image = D.view_batch(image, cfg.in_channels, cfg.image_size)
         gen = Rng(_default_seed(args)).child("render").at(0)
         plan = M.random_masking_plan(image.shape[0], cfg.n_patches,
                                      cfg.mask_ratio, gen)
@@ -301,7 +312,7 @@ def build_parser():
 
     p = sub.add_parser("ablate", help="feature ablation study")
     p.add_argument("--config", required=True)
-    p.add_argument("--manifest", required=True)
+    p.add_argument("--manifest")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ablate)
 

@@ -345,6 +345,8 @@ class AugmentationConfig:
     hflip_prob: float = 0.5
 
     def __post_init__(self):
+        if self.out_size < 1:
+            raise ValueError(f"out_size must be >= 1, got {self.out_size}")
         if not (0.0 < self.scale_min <= self.scale_max <= 1.0):
             raise ValueError("need 0 < scale_min <= scale_max <= 1")
 
@@ -421,6 +423,14 @@ def augmented_batch(paths, generators, aug, channels):
         img = random_resized_crop(img, aug, gen)
         images.append(horizontal_flip(img, aug.hflip_prob, gen))
     return np.stack(images).astype(np.float32)
+
+
+def view_batch(images, channels, size):
+    """The deterministic view of a batch, float32 (B, channels, size, size):
+    each image zero-padded to ``channels`` and resized whole, with no crop
+    and no flip. Evaluation and rendering see scenes through it."""
+    return np.stack([_bilinear_resize(zero_pad_channels(im, channels), size,
+                                      size) for im in images]).astype(np.float32)
 
 
 def mixup(images, labels, alpha, generator):

@@ -152,6 +152,8 @@ class ProbeConfig:
     def __post_init__(self):
         if self.task not in ("singlelabel", "multilabel"):
             raise ValueError(f"unknown task {self.task!r}")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
         if self.eval_every_n < 1:
@@ -185,14 +187,6 @@ def _labels_for(entries, task, n_classes):
     return out
 
 
-def _eval_view(image, model_cfg):
-    """Deterministic center view: channels zero-padded to the model's, then
-    a plain bilinear resize to the model size."""
-    image = D.zero_pad_channels(image, model_cfg.in_channels)
-    return D._bilinear_resize(image, model_cfg.image_size,
-                              model_cfg.image_size).astype(np.float32)
-
-
 def params_digest(params):
     h = hashlib.sha256()
     for name in sorted(params):
@@ -211,33 +205,15 @@ def _classifier_loss(logits, labels, task):
     return -T.tmean(T.tsum(t * T.log_softmax(logits), axis=-1))
 
 
-def _evaluate_classifier(model, clf, entries, data_dir, pcfg, n_classes):
-    logits_all = []
-    labels = _labels_for(entries, pcfg.task, n_classes)
-    for i in range(0, len(entries), pcfg.batch_size):
-        chunk = entries[i:i + pcfg.batch_size]
-        imgs = [_eval_view(D.read_tensor(os.path.join(data_dir, e.path)),
-                           model.config) for e in chunk]
-        with T.no_grad():
-            feats = model.encoder_features(Tensor(np.stack(imgs)))
-            logits = T.matmul(feats, clf["clf.w"]) + clf["clf.b"]
-        logits_all.append(logits.data)
-    scores = np.concatenate(logits_all)
-    report = MetricsReport()
-    if pcfg.task == "multilabel":
-        mAP, per_ap = metric_map(scores, labels)
-        f1, per_f1 = metric_f1((1.0 / (1.0 + np.exp(-scores)) >= 0.5).astype(int),
-                               labels.astype(int))
-        report.values = {"mAP": mAP, "macro_f1": f1}
-        report.per_class = {"AP": per_ap, "F1": per_f1}
-    else:
-        pred = scores.argmax(axis=1)
-        oa, aa = metric_oa_aa(pred, labels)
-        report.values = {"OA": oa, "AA": aa}
-    return report
+def _logits(model, clf, batch, train_encoder):
+    """The linear head over the encoder's mean-pooled features of ``batch``;
+    a frozen encoder runs without a tape."""
+    with contextlib.nullcontext() if train_encoder else T.no_grad():
+        feats = model.encoder_features(Tensor(batch))
+    return T.matmul(feats, clf["clf.w"]) + clf["clf.b"]
 
 
-def _train_classifier(model, entries, data_dir, pcfg, n_classes, trainable_encoder):
+def _train_classifier(model, entries, data_dir, pcfg, n_classes, train_encoder):
     """Shared loop behind probing and fine-tuning: SGD on a linear head over
     the frozen encoder, or AdamW with layer decay (and mixup) on both."""
     rng = Rng(pcfg.seed).child("probe")
@@ -248,13 +224,12 @@ def _train_classifier(model, entries, data_dir, pcfg, n_classes, trainable_encod
         "clf.b": Tensor(np.zeros(n_classes, dtype=np.float32), requires_grad=True),
     }
     params = dict(clf)
-    if trainable_encoder:
+    if train_encoder:
         # the encoder only: decoder, mask token and heads get no gradient
-        params.update((n, p) for n, p in model.params.items()
-                      if n.startswith(("embed.", "enc.")))
+        scales = layer_decay_scales(model, pcfg.layer_decay)
+        params.update((n, model.params[n]) for n in scales)
         opt = O.AdamW(params, lr=pcfg.lr, weight_decay=pcfg.weight_decay,
-                      lr_scale=layer_decay_scales(model.config,
-                                                  pcfg.layer_decay))
+                      lr_scale=scales)
         update = lambda lr: O.adamw_step(opt, lr=lr)
     else:
         update = lambda lr: O.sgd_step(clf, lr, weight_decay=pcfg.weight_decay)
@@ -273,57 +248,69 @@ def _train_classifier(model, entries, data_dir, pcfg, n_classes, trainable_encod
         batch = D.augmented_batch([paths[i] for i in idx], gens, aug,
                                   model.config.in_channels)
         y = labels[idx]
-        if trainable_encoder and pcfg.mixup_alpha > 0:
+        if train_encoder and pcfg.mixup_alpha > 0:
             batch, y, _ = D.mixup(batch, y, pcfg.mixup_alpha,
                                   rng.child("mixup").at(step))
             batch = batch.astype(np.float32)
-
-        def loss_fn():
-            # a frozen encoder runs without a tape
-            with contextlib.nullcontext() if trainable_encoder else T.no_grad():
-                feats = model.encoder_features(Tensor(batch))
-            logits = T.matmul(feats, clf["clf.w"]) + clf["clf.b"]
-            return _classifier_loss(logits, y, pcfg.task)
+        loss_fn = lambda: _classifier_loss(
+            _logits(model, clf, batch, train_encoder), y, pcfg.task)
         O.take_step(params, loss_fn, update, O.lr_at(step, schedule), step)
     return clf
 
 
-def layer_decay_scales(model_cfg, decay):
-    """Per-parameter lr scales: classifier head 1, encoder block i (bottom
-    = 0) gets decay^(depth - i), patch embedding decay^(depth + 1)."""
-    scales = {}
-    depth = model_cfg.enc_depth
-    for i in range(depth):
-        s = decay ** (depth - i)
-        for suffix in ("ln1.g", "ln1.b", "qkv.w", "qkv.b", "proj.w", "proj.b",
-                       "ln2.g", "ln2.b", "mlp1.w", "mlp1.b", "mlp2.w", "mlp2.b"):
-            scales[f"enc.{i}.{suffix}"] = s
-    scales["embed.w"] = decay ** (depth + 1)
-    scales["embed.b"] = decay ** (depth + 1)
+def layer_decay_scales(model, decay):
+    """Fine-tuning's lr scale for each encoder parameter, by its name:
+    ``embed.*`` decay^(depth + 1), block ``enc.<i>.*`` (bottom = 0)
+    decay^(depth - i) and ``enc.norm.*`` 1. The classifier head keeps 1."""
+    depth, scales = model.config.enc_depth, {}
+    for name in model.params:
+        part, _, rest = name.partition(".")
+        if part == "embed":
+            scales[name] = decay ** (depth + 1)
+        elif part == "enc":
+            block = rest.partition(".")[0]
+            scales[name] = 1.0 if block == "norm" else decay ** (depth - int(block))
     return scales
+
+
+def _transfer(model, entries, data_dir, pcfg, train_encoder):
+    """The transfer protocol: check every label before a step, hold out
+    every ``eval_every_n``-th location, train the head (with the encoder
+    when ``train_encoder``; a frozen one must come out bitwise unchanged)
+    and score the held-out scenes through the deterministic view."""
+    n_classes = D.SAR_CLASSES if pcfg.task == "singlelabel" else D.MS_CLASSES
+    _labels_for(entries, pcfg.task, n_classes)
+    train, held = _split_entries(entries, pcfg.eval_every_n)
+    frozen = None if train_encoder else params_digest(model.params)
+    clf = _train_classifier(model, train, data_dir, pcfg, n_classes,
+                            train_encoder)
+    if frozen is not None and params_digest(model.params) != frozen:
+        raise RuntimeError("probe mutated encoder parameters")
+    cfg, b = model.config, pcfg.batch_size
+    paths = [os.path.join(data_dir, e.path) for e in held]
+    with T.no_grad():
+        scores = np.concatenate([
+            _logits(model, clf, D.view_batch(map(D.read_tensor, paths[i:i + b]),
+                                             cfg.in_channels, cfg.image_size),
+                    False).data for i in range(0, len(paths), b)])
+    labels = _labels_for(held, pcfg.task, n_classes)
+    if pcfg.task == "singlelabel":
+        oa, aa = metric_oa_aa(scores.argmax(axis=1), labels)
+        return MetricsReport({"OA": oa, "AA": aa})
+    mAP, per_ap = metric_map(scores, labels)
+    f1, per_f1 = metric_f1((1.0 / (1.0 + np.exp(-scores)) >= 0.5).astype(int),
+                           labels.astype(int))
+    return MetricsReport({"mAP": mAP, "macro_f1": f1}, {"AP": per_ap, "F1": per_f1})
 
 
 def linear_probe_train(model, entries, data_dir, pcfg):
     """Frozen-encoder linear probe; encoder parameters are bitwise unchanged."""
-    n_classes = D.SAR_CLASSES if pcfg.task == "singlelabel" else D.MS_CLASSES
-    _labels_for(entries, pcfg.task, n_classes)  # every label, before a step
-    train, held = _split_entries(entries, pcfg.eval_every_n)
-    before = params_digest(model.params)
-    clf = _train_classifier(model, train, data_dir, pcfg, n_classes,
-                            trainable_encoder=False)
-    if params_digest(model.params) != before:
-        raise RuntimeError("probe mutated encoder parameters")
-    return _evaluate_classifier(model, clf, held, data_dir, pcfg, n_classes)
+    return _transfer(model, entries, data_dir, pcfg, train_encoder=False)
 
 
 def fine_tune(model, entries, data_dir, pcfg):
     """End-to-end fine-tuning with AdamW, layer-wise lr decay and mixup."""
-    n_classes = D.SAR_CLASSES if pcfg.task == "singlelabel" else D.MS_CLASSES
-    _labels_for(entries, pcfg.task, n_classes)  # every label, before a step
-    train, held = _split_entries(entries, pcfg.eval_every_n)
-    clf = _train_classifier(model, train, data_dir, pcfg, n_classes,
-                            trainable_encoder=True)
-    return _evaluate_classifier(model, clf, held, data_dir, pcfg, n_classes)
+    return _transfer(model, entries, data_dir, pcfg, train_encoder=True)
 
 
 # ---------------------------------------------------------------------------

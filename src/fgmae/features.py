@@ -35,6 +35,14 @@ class BandMap:
             raise ValueError(f"invalid band map {idx} for {channels} channels")
 
 
+def at_least(low, cfg, *names):
+    """A ValueError naming the first of ``cfg``'s fields ``names`` below
+    ``low``. Config classes call it before any arithmetic on those fields."""
+    for name in names:
+        if getattr(cfg, name) < low:
+            raise ValueError(f"{name} must be >= {low}, got {getattr(cfg, name)}")
+
+
 @dataclass(frozen=True)
 class HogParams:
     n_bins: int = 9
@@ -42,6 +50,7 @@ class HogParams:
     eps: float = 1e-10
 
     def __post_init__(self):
+        at_least(1, self, "cell_size")
         if self.n_bins < 2:
             raise ValueError("need at least 2 orientation bins")
 
@@ -54,6 +63,7 @@ class CannyParams:
     high: float = 0.2
 
     def __post_init__(self):
+        at_least(1, self, "kernel_size")
         if not (0.0 < self.low < self.high <= 1.0):
             raise ValueError("need 0 < low < high <= 1")
 
@@ -68,6 +78,7 @@ class SiftParams:
     eps: float = 1e-10
 
     def __post_init__(self):
+        at_least(1, self, "stride", "support", "spatial_bins", "orientation_bins")
         if self.support % self.spatial_bins != 0:
             raise ValueError("descriptor support must divide evenly into spatial bins")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
-from .features import patchify_array, unpatchify_array
+from .features import at_least, patchify_array, unpatchify_array
 from .tensor import Tensor
 
 
@@ -43,6 +43,9 @@ class ModelConfig:
     mask_ratio: float = 0.7
 
     def __post_init__(self):
+        at_least(1, self, "image_size", "patch_size", "in_channels",
+                 "enc_width", "enc_heads", "dec_width", "dec_heads")
+        at_least(0, self, "enc_depth", "dec_depth")
         if self.image_size % self.patch_size:
             raise ValueError("image size must be divisible by patch size")
         if any(w % h or w % 4 for w, h in ((self.enc_width, self.enc_heads),

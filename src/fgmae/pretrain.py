@@ -43,10 +43,8 @@ class PretrainConfig:
     checkpoint_interval: int = 0  # steps; 0 = only final
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
+        F.at_least(1, self, "epochs", "batch_size")
+        F.at_least(0, self, "warmup_epochs", "checkpoint_interval")
         if self.warmup_epochs > self.epochs:
             raise ValueError("warmup cannot exceed total epochs")
         if self.augment.out_size != self.model.image_size:

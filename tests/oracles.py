@@ -18,6 +18,7 @@ from fgmae import evaluate as E
 from fgmae import features as F
 from fgmae import model as M
 from fgmae import optim as O
+from fgmae import pretrain as P
 from fgmae import tensor as T
 from fgmae.rng import Rng
 
@@ -462,8 +463,8 @@ def train_classifier_reference(model, entries, data_dir, pcfg, n_classes,
         params.update((n, p) for n, p in model.params.items()
                       if n.startswith(("embed.", "enc.")))
         opt = O.AdamW(params, lr=pcfg.lr, weight_decay=pcfg.weight_decay,
-                      lr_scale=E.layer_decay_scales(model.config,
-                                                    pcfg.layer_decay))
+                      lr_scale=layer_decay_scales_reference(model.config,
+                                                            pcfg.layer_decay))
     labels = E._labels_for(entries, pcfg.task, n_classes)
     n = len(entries)
     steps_per_epoch = math.ceil(n / pcfg.batch_size)
@@ -507,3 +508,113 @@ def train_classifier_reference(model, entries, data_dir, pcfg, n_classes,
                 O.sgd_step(clf, lr, weight_decay=pcfg.weight_decay)
             step += 1
     return clf
+
+
+# ---------------------------------------------------------------------------
+# the transfer protocol as two entry points, each with its own class count,
+# label check and split, the head spelled out in evaluation, and layer decay
+# from a list of block parameter suffixes
+
+
+def layer_decay_scales_reference(model_cfg, decay):
+    scales = {}
+    depth = model_cfg.enc_depth
+    for i in range(depth):
+        s = decay ** (depth - i)
+        for suffix in ("ln1.g", "ln1.b", "qkv.w", "qkv.b", "proj.w", "proj.b",
+                       "ln2.g", "ln2.b", "mlp1.w", "mlp1.b", "mlp2.w", "mlp2.b"):
+            scales[f"enc.{i}.{suffix}"] = s
+    scales["embed.w"] = decay ** (depth + 1)
+    scales["embed.b"] = decay ** (depth + 1)
+    return scales
+
+
+def _split_entries_reference(entries, every_n):
+    locs = D.locations(entries)
+    eval_locs = set(locs[::every_n])
+    train = [e for e in entries if e.location_id not in eval_locs]
+    held = [e for e in entries if e.location_id in eval_locs]
+    return train, held
+
+
+def eval_view_reference(image, model_cfg):
+    image = D.zero_pad_channels(image, model_cfg.in_channels)
+    return D._bilinear_resize(image, model_cfg.image_size,
+                              model_cfg.image_size).astype(np.float32)
+
+
+def evaluate_classifier_reference(model, clf, entries, data_dir, pcfg,
+                                  n_classes):
+    logits_all = []
+    labels = E._labels_for(entries, pcfg.task, n_classes)
+    for i in range(0, len(entries), pcfg.batch_size):
+        chunk = entries[i:i + pcfg.batch_size]
+        imgs = [eval_view_reference(
+            D.read_tensor(os.path.join(data_dir, e.path)), model.config)
+            for e in chunk]
+        with T.no_grad():
+            feats = model.encoder_features(T.Tensor(np.stack(imgs)))
+            logits = T.matmul(feats, clf["clf.w"]) + clf["clf.b"]
+        logits_all.append(logits.data)
+    scores = np.concatenate(logits_all)
+    report = E.MetricsReport()
+    if pcfg.task == "multilabel":
+        mAP, per_ap = E.metric_map(scores, labels)
+        f1, per_f1 = E.metric_f1(
+            (1.0 / (1.0 + np.exp(-scores)) >= 0.5).astype(int),
+            labels.astype(int))
+        report.values = {"mAP": mAP, "macro_f1": f1}
+        report.per_class = {"AP": per_ap, "F1": per_f1}
+    else:
+        pred = scores.argmax(axis=1)
+        oa, aa = E.metric_oa_aa(pred, labels)
+        report.values = {"OA": oa, "AA": aa}
+    return report
+
+
+def linear_probe_reference(model, entries, data_dir, pcfg):
+    """The probe and its classifier parameters."""
+    n_classes = D.SAR_CLASSES if pcfg.task == "singlelabel" else D.MS_CLASSES
+    E._labels_for(entries, pcfg.task, n_classes)
+    train, held = _split_entries_reference(entries, pcfg.eval_every_n)
+    before = E.params_digest(model.params)
+    clf = train_classifier_reference(model, train, data_dir, pcfg, n_classes,
+                                     trainable_encoder=False)
+    if E.params_digest(model.params) != before:
+        raise RuntimeError("probe mutated encoder parameters")
+    return evaluate_classifier_reference(model, clf, held, data_dir, pcfg,
+                                         n_classes), clf
+
+
+def fine_tune_reference(model, entries, data_dir, pcfg):
+    """The fine-tune and its classifier parameters."""
+    n_classes = D.SAR_CLASSES if pcfg.task == "singlelabel" else D.MS_CLASSES
+    E._labels_for(entries, pcfg.task, n_classes)
+    train, held = _split_entries_reference(entries, pcfg.eval_every_n)
+    clf = train_classifier_reference(model, train, data_dir, pcfg, n_classes,
+                                     trainable_encoder=True)
+    return evaluate_classifier_reference(model, clf, held, data_dir, pcfg,
+                                         n_classes), clf
+
+
+def render_reference(mode, image, checkpoint, seed):
+    """``fgmae render``'s picture of a (C, H, W) or (B, C, H, W) scene, the
+    evaluation view made image by image."""
+    if image.ndim == 3:
+        image = image[None]
+    if mode == "sar":
+        return M.render_sar_composite(image)[0]
+    run_cfg, model, *_ = P.load_checkpoint(checkpoint, moments=False)
+    cfg = model.config
+    image = np.stack([eval_view_reference(im, cfg) for im in image])
+    gen = Rng(seed).child("render").at(0)
+    plan = M.random_masking_plan(image.shape[0], cfg.n_patches,
+                                 cfg.mask_ratio, gen)
+    with T.no_grad():
+        pred = model.forward(T.Tensor(image), plan)[mode]
+    if mode == "ndi":
+        return M.render_ndi_false_color(pred, cfg.image_size,
+                                        cfg.patch_size)[0]
+    field = F.unpatchify_hog(pred.data, run_cfg.feature.hog, cfg.image_size,
+                             cfg.image_size, cfg.patch_size)
+    return M.render_hog_glyphs(np.clip(field[0, 0], 0.0, None))

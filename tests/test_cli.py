@@ -12,6 +12,8 @@ from fgmae import data as D
 from fgmae import optim as O
 from fgmae import pretrain as P
 
+from oracles import render_reference
+
 DEMOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "demos")
 
 
@@ -68,6 +70,20 @@ def demo_checkpoint(tmp_path_factory, sar_dataset):
     code = cli.main(["pretrain", "--config", cfg, "--out", out])
     assert code == 0
     return os.path.join(out, "checkpoint")
+
+
+@pytest.fixture(scope="module")
+def dual_checkpoint(tmp_path_factory, ms_dataset):
+    """A one-epoch hog+ndi run on 13-band scenes, the heads weighted."""
+    tmp = tmp_path_factory.mktemp("dual")
+    cfg = _pretrain_config(tmp, os.path.join(ms_dataset, "manifest.csv"),
+                           epochs=1, warmup_epochs=0,
+                           model={**_MODEL, "in_channels": 13},
+                           feature={"variant": "hog+ndi",
+                                    "hog": {"cell_size": 4}},
+                           head_weights={"hog": 2.0, "ndi": 0.5})
+    assert cli.main(["pretrain", "--config", cfg, "--out", str(tmp / "run")]) == 0
+    return str(tmp / "run" / "checkpoint")
 
 
 def _raise_non_finite(*args, **kwargs):
@@ -309,6 +325,37 @@ class TestBadValues:
                                "config", "batch size"),
         "probe-eval-every-n-0": ("probe", {"eval_every_n": 0}, None,
                                  "config", "eval_every_n"),
+        "probe-epochs-0": ("probe", {"epochs": 0}, None, "config",
+                           "epochs must be >= 1"),
+        # out-of-range sizes, counts and depths: each ended in a traceback
+        "pretrain-patch-size-0": ("pretrain", {"model": {**_MODEL,
+                                                         "patch_size": 0}},
+                                  None, "config", "patch_size must be >= 1"),
+        "pretrain-enc-heads-0": ("pretrain", {"model": {**_MODEL,
+                                                        "enc_heads": 0}},
+                                 None, "config", "enc_heads must be >= 1"),
+        "pretrain-enc-width-negative": ("pretrain",
+                                        {"model": {**_MODEL, "enc_width": -8}},
+                                        None, "config", "enc_width must be >= 1"),
+        "pretrain-image-size-negative": ("pretrain",
+                                         {"model": {**_MODEL,
+                                                    "image_size": -32}},
+                                         None, "config",
+                                         "image_size must be >= 1"),
+        "pretrain-enc-depth-negative": ("pretrain",
+                                        {"model": {**_MODEL, "enc_depth": -1}},
+                                        None, "config", "enc_depth must be >= 0"),
+        "pretrain-hog-cell-0": ("pretrain", {"feature": {
+            "variant": "hog", "hog": {"cell_size": 0}}}, None, "config",
+            "cell_size must be >= 1"),
+        "pretrain-canny-kernel-0": ("pretrain", {"feature": {
+            "variant": "canny", "canny": {"kernel_size": 0}}}, None, "config",
+            "kernel_size must be >= 1"),
+        **{f"pretrain-sift-{key}-0": ("pretrain", {"feature": {
+            "variant": "sift", "sift": {key: 0}}}, None, "config",
+            f"{key} must be >= 1")
+           for key in ("stride", "support", "spatial_bins",
+                       "orientation_bins")},
         "finetune-scale-min-0": ("finetune", {"scale_min": 0.0}, None,
                                  "config", "scale_min"),
         "finetune-negative-mixup": ("finetune", {"mixup_alpha": -0.5}, None,
@@ -429,6 +476,18 @@ class TestBadValues:
         "synth-ms-size-2": (["synth", "--modality", "MS", "--out",
                              "{tmp}/out", "--n", "1", "--size", "2"], {},
                             "config", "--size must be >= 3"),
+        "synth-seed--1": (["synth", "--modality", "SAR", "--out", "{tmp}/out",
+                           "--n", "1", "--seed", "-1"], {}, "config",
+                          "--seed must be >= 0"),
+        # a leading NAME=value sets that environment variable
+        "synth-env-seed-abc": (["FGMAE_SEED=abc", "synth", "--modality", "SAR",
+                                "--out", "{tmp}/out", "--n", "1"], {},
+                               "config", "FGMAE_SEED must be an integer"),
+        "render-env-seed-abc": (["FGMAE_SEED=abc", "render", "--mode", "hog",
+                                 "--in", "{tmp}/scene.fgmr", "--out",
+                                 "{tmp}/out", "--checkpoint", "{ckpt}"],
+                                {"scene": np.ones((2, 32, 32))}, "config",
+                                "FGMAE_SEED must be an integer"),
         "metrics-miou-sizes-disagree": (
             METRICS + ["miou"], {"pred": np.zeros((2, 2)), "label": np.zeros(3)},
             "geometry", "sizes disagree"),
@@ -464,9 +523,12 @@ class TestBadValues:
     }
 
     @pytest.mark.parametrize("case", list(INPUTS))
-    def test_bad_input_one_error_line(self, tmp_path, capsys, sar_dataset,
-                                      demo_checkpoint, case):
+    def test_bad_input_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                      sar_dataset, demo_checkpoint, case):
         argv, tensors, kind, match = self.INPUTS[case]
+        if "=" in argv[0]:
+            monkeypatch.setenv(*argv[0].split("=", 1))
+            argv = argv[1:]
         for name, array in tensors.items():
             D.write_tensor(str(tmp_path / f"{name}.fgmr"),
                            array.astype(np.float32))
@@ -567,6 +629,7 @@ class TestCheckpointIndex:
     @pytest.mark.parametrize("command", ["probe", "finetune", "render"])
     @pytest.mark.parametrize("damage", ["v0", "truncated", "missing-key",
                                         "config-unparsable",
+                                        "config-out-of-range",
                                         "config-disagrees"])
     def test_bad_index_exits_io(self, tmp_path, capsys, sar_dataset,
                                 demo_checkpoint, command, damage):
@@ -579,6 +642,9 @@ class TestCheckpointIndex:
             text = json.dumps({**index, "format": "fgmae-checkpoint-v0"})
         elif damage == "missing-key":
             text = json.dumps({k: v for k, v in index.items() if k != "config"})
+        elif damage == "config-out-of-range":
+            index["config"]["model"]["enc_heads"] = 0  # heads must be >= 1
+            text = json.dumps(index)
         elif damage.startswith("config"):
             model = index["config"]["model"]
             model.update(enc_width=2 * model["enc_width"])
@@ -606,15 +672,9 @@ class TestCheckpointIndex:
 class TestDualHeadRender:
     """hog+ndi is the only run whose second head is read at inference."""
 
-    def test_renders_both_heads(self, tmp_path, capsys, ms_dataset):
+    def test_renders_both_heads(self, tmp_path, capsys, ms_dataset,
+                                dual_checkpoint):
         manifest = os.path.join(ms_dataset, "manifest.csv")
-        cfg = _pretrain_config(tmp_path, manifest, epochs=1, warmup_epochs=0,
-                               model={**_MODEL, "in_channels": 13},
-                               feature={"variant": "hog+ndi",
-                                        "hog": {"cell_size": 4}},
-                               head_weights={"hog": 2.0, "ndi": 0.5})
-        out = str(tmp_path / "run")
-        assert cli.main(["pretrain", "--config", cfg, "--out", out]) == 0
         scene = os.path.join(ms_dataset, D.read_manifest(manifest)[0].path)
         # NDI: a 32x32 false-colour image; HOG: 8x8 cells of 16 px glyphs
         for mode, header, size in (("ndi", b"P6\n32 32\n255\n", 3 * 32 * 32),
@@ -624,7 +684,7 @@ class TestDualHeadRender:
                 dst = str(tmp_path / f"{mode}{k}.ppm")
                 code, _, _ = run_cli(["render", "--mode", mode, "--in", scene,
                                       "--out", dst, "--checkpoint",
-                                      os.path.join(out, "checkpoint")], capsys)
+                                      dual_checkpoint], capsys)
                 assert code == 0
                 renders.append(open(dst, "rb").read())
             assert renders[0].startswith(header)
@@ -640,6 +700,28 @@ class TestDualHeadRender:
                                 "--checkpoint", demo_checkpoint], capsys)
         assert code == cli.EXIT_GEOMETRY
         assert err.startswith("error[feature]")
+
+
+class TestRenderReference:
+    """render writes the bytes of its reference (tests/oracles.py), which
+    makes the evaluation view image by image."""
+
+    @pytest.mark.parametrize("mode", ["sar", "hog", "ndi"])
+    def test_same_bytes(self, tmp_path, capsys, sar_dataset, ms_dataset,
+                        demo_checkpoint, dual_checkpoint, mode):
+        data, ckpt = {"sar": (sar_dataset, None),
+                      "hog": (sar_dataset, demo_checkpoint),
+                      "ndi": (ms_dataset, dual_checkpoint)}[mode]
+        scene = os.path.join(data, D.read_manifest(
+            os.path.join(data, "manifest.csv"))[1].path)
+        argv = ["render", "--mode", mode, "--in", scene, "--seed", "3",
+                "--out", str(tmp_path / "new.ppm")]
+        assert run_cli(argv + (["--checkpoint", ckpt] if ckpt else []),
+                       capsys)[0] == 0
+        D.write_ppm(str(tmp_path / "ref.ppm"), render_reference(
+            mode, D.read_tensor(scene), ckpt, 3))
+        new = open(tmp_path / "new.ppm", "rb").read()
+        assert new == open(tmp_path / "ref.ppm", "rb").read()
 
 
 class TestMetricsCommand:
@@ -750,6 +832,38 @@ class TestAblateCommand:
         assert lines[0] == "spec,seed,metric,value"
         tags = {l.split(",")[0] for l in lines[1:]}
         assert tags == {"hog", "raw"}
+
+    def _config(self, tmp_path, manifest):
+        raw = json.load(open(_pretrain_config(tmp_path, manifest)))
+        raw.update(specs=["hog", "raw"], seeds=[0],
+                   probe={"task": "singlelabel", "epochs": 1, "batch_size": 4})
+        if manifest is None:
+            del raw["manifest"]
+        cfg = str(tmp_path / "ablate.json")
+        json.dump(raw, open(cfg, "w"))
+        return ["ablate", "--config", cfg, "--out", str(tmp_path / "out")]
+
+    def test_manifest_from_config(self, tmp_path, capsys, sar_dataset):
+        # as in pretrain: the config's manifest key, unless --manifest
+        argv = self._config(tmp_path, os.path.join(sar_dataset, "manifest.csv"))
+        code, stdout, _ = run_cli(argv, capsys)
+        assert code == 0 and "hog,mean,OA," in stdout
+
+    def test_manifest_named_nowhere(self, tmp_path, capsys, sar_dataset):
+        argv = self._config(tmp_path, str(tmp_path / "nowhere.csv"))
+        code, _, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_IO
+        assert err.startswith("error[io]") and "nowhere.csv" in err
+        assert not os.path.exists(tmp_path / "out")
+        # --manifest wins over the key
+        argv += ["--manifest", os.path.join(sar_dataset, "manifest.csv")]
+        assert run_cli(argv, capsys)[0] == 0
+
+    def test_no_manifest_anywhere(self, tmp_path, capsys):
+        code, _, err = run_cli(self._config(tmp_path, None), capsys)
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("error[config]") and "manifest" in err
+        assert len(err.splitlines()) == 1
 
     def test_missing_specs_rejected(self, tmp_path, capsys, sar_dataset):
         manifest = os.path.join(sar_dataset, "manifest.csv")

@@ -10,11 +10,14 @@ from fgmae import data as D
 from fgmae import evaluate as E
 from fgmae import features as F
 from fgmae import model as M
+from fgmae import optim as O
 from fgmae import pretrain as P
 from fgmae.rng import Rng
 
-from oracles import (f1_reference, map_reference, miou_reference,
-                     oa_aa_reference, train_classifier_reference)
+from oracles import (f1_reference, fine_tune_reference,
+                     layer_decay_scales_reference, linear_probe_reference,
+                     map_reference, miou_reference, oa_aa_reference,
+                     train_classifier_reference)
 
 
 class TestMapMetric:
@@ -145,12 +148,19 @@ class TestProbePlumbing:
     def test_layer_decay_scales(self):
         cfg = M.ModelConfig(image_size=32, patch_size=8, in_channels=2,
                             enc_width=32, enc_depth=3, enc_heads=4)
-        scales = E.layer_decay_scales(cfg, 0.5)
-        # embedding below block 0, head at 1.0
+        model = M.FgMae(cfg, {"hog": 8})
+        scales = E.layer_decay_scales(model, 0.5)
+        # embedding below block 0, the final norm and the head at 1.0
         assert scales["embed.w"] == 0.5 ** 4
         assert scales["enc.0.mlp1.w"] == 0.5 ** 3
         assert scales["enc.2.mlp1.w"] == 0.5 ** 1
+        assert scales["enc.norm.g"] == scales["enc.norm.b"] == 1.0
         assert scales.get("head.w", 1.0) == 1.0
+        # the keys are the encoder, in the model's order
+        assert list(scales) == [n for n in model.params
+                                if n.startswith(("embed.", "enc."))]
+        assert scales == {**layer_decay_scales_reference(cfg, 0.5),
+                          "enc.norm.g": 1.0, "enc.norm.b": 1.0}
 
     def test_params_digest_sensitivity(self):
         cfg = M.ModelConfig(image_size=16, patch_size=8, in_channels=2,
@@ -176,9 +186,9 @@ def dataset(tmp_path_factory):
 
 class TestProbeTraining:
 
-    def _model(self):
+    def _model(self, depth=1):
         cfg = M.ModelConfig(image_size=32, patch_size=8, in_channels=2,
-                            enc_width=32, enc_depth=1, enc_heads=4,
+                            enc_width=32, enc_depth=depth, enc_heads=4,
                             dec_width=32, dec_depth=1, dec_heads=4,
                             mask_ratio=0.7)
         return M.FgMae(cfg, {"hog": 16}, Rng(3).child("init").at(0))
@@ -231,6 +241,61 @@ class TestProbeTraining:
         changed = E.params_digest(models[0].params) != \
             E.params_digest(self._model().params)
         assert changed == trainable_encoder
+
+    # case -> (train encoder, task, encoder depth)
+    TRANSFER = {"sgd-probe": (False, "singlelabel", 1),
+                "finetune-mixup-depth-3": (True, "singlelabel", 3),
+                "finetune-multilabel": (True, "multilabel", 1)}
+
+    @pytest.mark.parametrize("case", list(TRANSFER))
+    def test_entry_points_match_reference(self, dataset, monkeypatch, case):
+        # linear_probe_train and fine_tune against the two entry points
+        # they replaced (tests/oracles.py): report, classifier and model
+        # bytes, and the fine-tune's AdamW names, groups and lr scales
+        train_encoder, task, depth = self.TRANSFER[case]
+        manifest, data_dir = dataset
+        entries = D.read_manifest(manifest)
+        pcfg = E.ProbeConfig(task=task, epochs=2, batch_size=5,
+                             lr=1e-3 if train_encoder else 0.05,
+                             weight_decay=0.05, layer_decay=0.75,
+                             mixup_alpha=0.8, seed=2)
+        made = {"clf": [], "opt": []}
+
+        class Recorded(O.AdamW):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made["opt"].append(self)
+        monkeypatch.setattr(O, "AdamW", Recorded)
+        train = E._train_classifier
+
+        def recorded(*args, **kwargs):
+            made["clf"].append(train(*args, **kwargs))
+            return made["clf"][-1]
+        monkeypatch.setattr(E, "_train_classifier", recorded)
+        models = self._model(depth), self._model(depth)
+        entry = E.fine_tune if train_encoder else E.linear_probe_train
+        report = entry(models[0], entries, data_dir, pcfg)
+        reference = fine_tune_reference if train_encoder else \
+            linear_probe_reference
+        ref_report, ref_clf = reference(models[1], entries, data_dir, pcfg)
+        assert report.values == ref_report.values
+        assert report.per_class == ref_report.per_class
+        for a, b in ((made["clf"][0], ref_clf),
+                     (models[0].params, models[1].params)):
+            assert list(a) == list(b)
+            for name in a:
+                assert a[name].data.tobytes() == b[name].data.tobytes(), name
+        assert len(made["opt"]) == (2 if train_encoder else 0)
+        if train_encoder:
+            new, ref = made["opt"]
+            assert list(new.params) == list(ref.params)
+            assert [(g.scale, g.exempt, g.p.dtype, g.members)
+                    for g in new.groups] == \
+                [(g.scale, g.exempt, g.p.dtype, g.members) for g in ref.groups]
+            assert {n: new.lr_scale.get(n, 1.0) for n in new.params} == \
+                {n: ref.lr_scale.get(n, 1.0) for n in ref.params}
+            assert new.lr_scale["enc.norm.g"] == 1.0
+            assert new.lr_scale["embed.w"] == 0.75 ** (depth + 1)
 
     def test_probe_deterministic(self, dataset):
         manifest, data_dir = dataset

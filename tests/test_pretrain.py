@@ -107,7 +107,7 @@ def _pretrain_configs(draw):
 
 _PROBE_CONFIGS = st.builds(
     E.ProbeConfig, task=st.sampled_from(["singlelabel", "multilabel"]),
-    epochs=st.integers(0, 100), batch_size=st.integers(1, 64), lr=_FLOATS,
+    epochs=st.integers(1, 100), batch_size=st.integers(1, 64), lr=_FLOATS,
     weight_decay=_FLOATS, layer_decay=_FLOATS,
     mixup_alpha=st.floats(0.0, allow_infinity=False),
     seed=st.integers(0, 2**32), eval_every_n=st.integers(1, 10),
@@ -117,6 +117,18 @@ _FUZZ = settings(max_examples=60, deadline=None)
 
 def _json_dict(cfg):
     return json.loads(json.dumps(dataclasses.asdict(cfg)))
+
+
+def _int_dicts(cls, ints):
+    """Dicts for config class ``cls`` that give every integer field, nested
+    blocks included, a value drawn from ``ints``."""
+    fields = {}
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.default_factory):
+            fields[f.name] = _int_dicts(f.default_factory, ints)
+        elif type(f.default) is int:
+            fields[f.name] = ints
+    return st.fixed_dictionaries(fields)
 
 
 class TestConfig:
@@ -137,6 +149,25 @@ class TestConfig:
     @given(cfg=_PROBE_CONFIGS)
     def test_probe_dict_roundtrip(self, cfg):
         assert P.from_dict(E.ProbeConfig, _json_dict(cfg)) == cfg
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.one_of(*(st.tuples(st.just(cls),
+                                   _int_dicts(cls, st.integers(-2, 64)))
+                         for cls in (P.PretrainConfig, E.ProbeConfig))))
+    @example(d=(P.PretrainConfig, {"model": {"patch_size": 0}}))
+    @example(d=(P.PretrainConfig, {"model": {"enc_heads": 0}}))
+    @example(d=(P.PretrainConfig, {"feature": {"sift": {"spatial_bins": 0}}}))
+    @example(d=(E.ProbeConfig, {"epochs": 0}))
+    def test_any_integers_build_or_are_config_errors(self, d):
+        # out-of-range sizes, counts and depths are rejected by the config
+        # classes themselves, never by arithmetic further on; a config that
+        # builds trains for at least one epoch
+        cls, raw = d
+        try:
+            cfg = P.from_dict(cls, raw)
+        except P.ConfigError:
+            return
+        assert cfg.epochs >= 1
 
     @_FUZZ
     @given(cfg=_pretrain_configs(), data=st.data())
