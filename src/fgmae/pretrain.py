@@ -56,6 +56,13 @@ class PretrainConfig:
             raise ValueError(f"mask ratio {self.model.mask_ratio} keeps {keep} "
                              f"of {n} patches; pretraining needs 1 to {n - 1}")
         heads = self.heads  # checks the feature spec against the model
+        size = self.model.image_size
+        for name, what, window in (
+                ("canny", "Canny kernel_size", self.feature.canny.kernel_size),
+                ("sift", "SIFT support", self.feature.sift.support)):
+            if name in heads and window > size:
+                raise ValueError(f"{what} {window} is larger than the "
+                                 f"{size}-px image")
         if not isinstance(self.head_weights, dict) or not all(
                 isinstance(w, (int, float)) and not isinstance(w, bool)
                 for w in self.head_weights.values()):

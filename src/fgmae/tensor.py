@@ -2,10 +2,11 @@
 
 Everything is backed by numpy arrays. A forward pass builds a graph of
 Tensor nodes; ``backward()`` walks it once in reverse topological order and
-accumulates gradients additively across fan-out. Single-threaded numpy ops
-keep results bitwise deterministic. A backward closure captures its inputs
-and plain arrays, never its own output node, so no reference cycle forms
-and a tape is freed by reference counting as soon as it is dropped.
+accumulates gradients additively across fan-out. Results are bitwise
+deterministic, on one lane or two (see below). A backward closure captures
+its inputs and plain arrays, never its own output node, so no reference
+cycle forms and a tape is freed by reference counting as soon as it is
+dropped.
 
 Every node is made by the module-level ``_node``. Inside ``with no_grad():``
 it records nothing: results carry no tape and ``requires_grad`` is False,
@@ -22,12 +23,32 @@ slices in the same order, so the bits are those of the stacked product,
 which is never made (19 MB per MLP layer at ViT-S). One 2-D GEMM over all
 B·N rows would be faster still, but it sums the rows in another order and
 so rounds differently.
+
+Big products run on two lanes: the caller and one worker thread
+(``_both``). A product of a (B, N, D) input and a (D, E) weight of at
+least ``PAIR_MIN`` multiply-adds splits its forward over the samples, the
+first half on the lane and the rest on the caller, and so does the input
+gradient toward a frozen weight; when both operands take gradients, the
+weight's gradient runs on the lane beside the input's product. Numpy's
+batched product makes one GEMM per sample, with the same operands and
+strides whether it is called on the whole batch or on a half, and the two
+lanes write disjoint arrays; gradients are accumulated on the caller in
+the old order, input first. So every bit, and every gradient's layout, is
+the single-lane one. The lane exists only when OpenBLAS is pinned to one
+thread (``OPENBLAS_NUM_THREADS``, else ``GOTO_NUM_THREADS``, else
+``OMP_NUM_THREADS`` reads 1) and the process may use two CPUs or more:
+two lanes of threaded BLAS oversubscribe the cores and run slower.
+Otherwise, and for every smaller product, ``matmul`` runs on one lane.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
+import os
+import threading
+from concurrent import futures
 
 import numpy as np
 from scipy.special import ndtr
@@ -422,15 +443,27 @@ def matmul(a, b):
 
     The gradient of a 2-D weight ``b`` comes from ``_weight_grad``; every
     other gradient is one batched product, reduced over broadcast dims by
-    ``_unbroadcast``."""
+    ``_unbroadcast``. Big products of a 3-D ``a`` and a 2-D ``b`` run on
+    two lanes (see the module docstring)."""
     a, b = _wrap(a), _wrap(b)
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-    out = _node(np.matmul(a.data, b.data), (a, b))
+    paired = (_lane is not None and a.data.ndim == 3 and b.data.ndim == 2
+              and a.size * b.shape[1] >= PAIR_MIN)
+    y = _halves(a.data, b.data) if paired else np.matmul(a.data, b.data)
+    out = _node(y, (a, b))
     if out.requires_grad:
-        def _bw(g, a=a, b=b):
+        def _bw(g, a=a, b=b, paired=paired):
+            if paired and a.requires_grad and b.requires_grad:
+                # the weight's gradient on the lane beside the input's
+                gb, ga = _both(lambda: _weight_grad(a.data, g, b),
+                               lambda: np.matmul(g, b.data.T))
+                _accum(a, ga)
+                _accum(b, gb)
+                return
             if a.requires_grad:
-                ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+                bt = np.swapaxes(b.data, -1, -2)
+                ga = _halves(g, bt) if paired else np.matmul(g, bt)
                 _accum(a, _unbroadcast(ga, a.shape))
             if not b.requires_grad:
                 return
@@ -463,6 +496,86 @@ def _weight_grad(x, g, w):
             np.matmul(x[idx].T, g[idx], out=tmp)
             np.add(acc, tmp, out=acc)
     return acc
+
+
+# -- the second lane ----------------------------------------------------------
+
+# multiply-adds below which a product stays on one lane: the three
+# demo-size workloads' products all do (the largest, a 13-band patch embed,
+# is 6.8 M), and halves measured slower at 3.1 M and faster from 8.4 M on
+PAIR_MIN = 1 << 23
+
+
+def _blas_pinned(environ):
+    """True when OpenBLAS runs on one thread: the first of its thread-count
+    variables that holds a positive integer reads 1, in OpenBLAS's order."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            n = int(environ.get(var, ""))
+        except ValueError:
+            continue
+        if n > 0:
+            return n == 1
+    return False
+
+
+_on_lane = threading.local()
+
+
+def _new_lane():
+    """A one-thread executor; its thread starts at the first job."""
+    return futures.ThreadPoolExecutor(
+        1, thread_name_prefix="fgmae-lane",
+        initializer=setattr, initargs=(_on_lane, "here", True))
+
+
+def _cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# None runs every product on one lane
+_lane = _new_lane() if _blas_pinned(os.environ) and _cpus() >= 2 else None
+
+
+def _fresh_lane():
+    # a forked child inherits the executor but not its thread: a job
+    # submitted to the copy would never run
+    global _lane
+    if _lane is not None:
+        _lane = _new_lane()
+
+
+os.register_at_fork(after_in_child=_fresh_lane)
+
+
+def _both(f, g):
+    """``(f(), g())``: f on the lane, in the caller's context (so that
+    ``np.errstate`` holds there too), and g on the caller. Returns or
+    raises only once f is done, so no job still writes into an array the
+    caller has given up; g's exception wins over f's. Runs both here when
+    there is no lane or when called from the lane, whose one worker would
+    otherwise wait for itself."""
+    if _lane is None or getattr(_on_lane, "here", False):
+        return f(), g()
+    job = _lane.submit(contextvars.copy_context().run, f)
+    try:
+        y = g()
+    finally:
+        futures.wait((job,))
+    return job.result(), y
+
+
+def _halves(x, w):
+    """``np.matmul(x, w)`` for a (B, N, D) ``x`` and a 2-D ``w``, the first
+    B // 2 samples on the lane: bitwise the one batched call."""
+    out = np.empty(x.shape[:-1] + w.shape[-1:], np.result_type(x, w))
+    h = len(x) // 2
+    _both(lambda: np.matmul(x[:h], w, out=out[:h]),
+          lambda: np.matmul(x[h:], w, out=out[h:]))
+    return out
 
 
 # -- normalization and activations -------------------------------------------

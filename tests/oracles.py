@@ -307,8 +307,8 @@ def trunc_normal_reference(generator, shape, std=0.02):
 
 # ---------------------------------------------------------------------------
 # autodiff oracles: layer_norm composed of elementwise ops and means (12 tape
-# nodes), an index whose backward scatters with np.add.at, and matmul's
-# stacked weight gradient
+# nodes), an index whose backward scatters with np.add.at, matmul's
+# stacked weight gradient and matmul on one lane
 
 
 def layer_norm_reference(x, gamma, beta, eps=1e-6):
@@ -341,6 +341,27 @@ def matmul_weight_grad_reference(a, b):
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
             T._accum(a, T._unbroadcast(ga, a.shape))
             T._accum(b, T._unbroadcast(gb, b.shape))
+        out._backward = _bw
+    return out
+
+
+def matmul_reference(a, b):
+    """``T.matmul`` on one lane: the batched forward product, then the
+    input's gradient and after it the weight's, each on the caller."""
+    a, b = T._wrap(a), T._wrap(b)
+    out = T._node(np.matmul(a.data, b.data), (a, b))
+    if out.requires_grad:
+        def _bw(g, a=a, b=b):
+            if a.requires_grad:
+                ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+                T._accum(a, T._unbroadcast(ga, a.shape))
+            if not b.requires_grad:
+                return
+            if b.data.ndim == 2:
+                T._accum(b, T._weight_grad(a.data, g, b))
+            else:
+                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+                T._accum(b, T._unbroadcast(gb, b.shape))
         out._backward = _bw
     return out
 

@@ -268,6 +268,61 @@ def test_criterion_5_blas_threads(tmp_path):
             (two / "checkpoint" / n).read_bytes(), n
 
 
+# criterion 6's model: the decoder's MLP products are 8·16·128·512 = 2^23
+# multiply-adds, PAIR_MIN, so they run on two lanes when BLAS is pinned
+_TWO_LANE_CONFIG = dataclasses.replace(
+    _CRITERION_5_CONFIG, batch_size=8, epochs=3, warmup_epochs=1,
+    model=_CRITERION_5_CONFIG.model.with_(enc_width=64, enc_depth=2,
+                                          dec_width=128, dec_depth=2))
+
+_COUNTED_PRETRAIN = """
+import sys
+from fgmae import cli, tensor as T
+jobs = []
+if T._lane is not None:
+    submit = T._lane.submit
+    T._lane.submit = lambda *a: (jobs.append(1), submit(*a))[1]
+code = cli.main(["pretrain", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(len(jobs), T._cpus())
+sys.exit(code)
+"""
+
+
+def test_two_lanes_bitwise_across_processes(tmp_path):
+    """``fgmae pretrain`` at a geometry that reaches PAIR_MIN, in a child
+    with OpenBLAS on one thread (two lanes) and one with two threads (one
+    lane), the variables set for each child only: the loss logs and every
+    checkpoint tensor are the same bytes."""
+    # one scene per location and epoch: 8 locations fill a batch of 8
+    manifest = D.synthesize_dataset(str(tmp_path / "data"), "SAR",
+                                    n_locations=8, seed=3, looks=1, size=32)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    config = tmp_path / "pretrain.json"
+    config.write_text(json.dumps({**dataclasses.asdict(_TWO_LANE_CONFIG),
+                                  "manifest": manifest}))
+    jobs = {}
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        env.update(OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _COUNTED_PRETRAIN,
+                              str(config), str(tmp_path / threads)],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, (threads, out.stderr)
+        n, cpus = map(int, out.stdout.split()[-2:])
+        jobs[threads] = n
+    assert jobs["2"] == 0
+    assert (jobs["1"] > 0) is (cpus >= 2)
+    one, two = tmp_path / "1", tmp_path / "2"
+    assert (one / "loss_log.csv").read_bytes() == (two / "loss_log.csv").read_bytes()
+    tensors = sorted(n for n in os.listdir(one / "checkpoint") if n.endswith(".fgmr"))
+    assert tensors and tensors == sorted(
+        n for n in os.listdir(two / "checkpoint") if n.endswith(".fgmr"))
+    for n in tensors:
+        assert (one / "checkpoint" / n).read_bytes() == \
+            (two / "checkpoint" / n).read_bytes(), n
+
+
 def test_criterion_6_overfit_sanity():
     """Tiny model (encoder width 64, depth 2), 8 fixed synthetic SAR scenes,
     HOG targets: loss drops below 10% of its initial value in 500 steps."""

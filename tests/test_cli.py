@@ -356,6 +356,13 @@ class TestBadValues:
             f"{key} must be >= 1")
            for key in ("stride", "support", "spatial_bins",
                        "orientation_bins")},
+        # descriptor windows larger than the 32-px image
+        "pretrain-canny-kernel-33": ("pretrain", {"feature": {
+            "variant": "canny", "canny": {"kernel_size": 33}}}, None, "config",
+            "Canny kernel_size 33 is larger than the 32-px image"),
+        "pretrain-sift-support-64": ("pretrain", {"feature": {
+            "variant": "sift", "sift": {"support": 64}}}, None, "config",
+            "SIFT support 64 is larger than the 32-px image"),
         "finetune-scale-min-0": ("finetune", {"scale_min": 0.0}, None,
                                  "config", "scale_min"),
         "finetune-negative-mixup": ("finetune", {"mixup_alpha": -0.5}, None,

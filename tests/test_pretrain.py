@@ -18,6 +18,7 @@ from fgmae import features as F
 from fgmae import model as M
 from fgmae import optim as O
 from fgmae import pretrain as P
+from fgmae import tensor as T
 from fgmae.evaluate import params_digest
 from fgmae.rng import Rng
 
@@ -69,6 +70,10 @@ def _pretrain_configs(draw):
         mask_ratio=draw(_UNIT.filter(
             lambda r: 0 < M.keep_count(grid * grid, r) < grid * grid)))
     variants = [v for v in F.VARIANTS if "ndi" not in v or channels >= 4]
+    variant = draw(st.sampled_from(variants))
+    # a descriptor the variant names fits its window into the image
+    canny_max = model.image_size if variant == "canny" else 9
+    sift_max = model.image_size if variant == "sift" else 32
     bands = F.BandMap()
     if channels >= 4:
         bands = F.BandMap(*draw(st.permutations(range(channels)))[:4])
@@ -76,14 +81,16 @@ def _pretrain_configs(draw):
     low = draw(st.floats(0.01, 0.5))
     spatial = draw(st.integers(1, 4))
     feature = F.FeatureSpec(
-        draw(st.sampled_from(variants)),
+        variant,
         hog=F.HogParams(n_bins=draw(st.integers(2, 12)),
                         cell_size=draw(st.sampled_from(divisors)), eps=draw(_FLOATS)),
         canny=F.CannyParams(gaussian_sigma=draw(_FLOATS),
-                            kernel_size=draw(st.integers(1, 9)), low=low,
+                            kernel_size=draw(st.integers(1, min(9, canny_max))),
+                            low=low,
                             high=draw(st.floats(low, 1.0, exclude_min=True))),
         sift=F.SiftParams(stride=draw(st.sampled_from(divisors)),
-                          support=spatial * draw(st.integers(1, 8)),
+                          support=spatial * draw(st.integers(
+                              1, min(8, sift_max // spatial))),
                           spatial_bins=spatial,
                           orientation_bins=draw(st.integers(1, 12)),
                           clip=draw(_FLOATS), eps=draw(_FLOATS)),
@@ -248,6 +255,19 @@ class TestConfig:
     def test_config_checked_against_itself(self, overrides, match):
         with pytest.raises(ValueError, match=match):
             _cfg(**overrides)
+
+    def test_descriptor_windows_fit_the_image(self):
+        # 32-px images: only the descriptors the variant names are checked
+        window = dict(canny=F.CannyParams(kernel_size=33),
+                      sift=F.SiftParams(support=64))
+        for variant, match in (("canny", "kernel_size 33"),
+                               ("sift", "support 64")):
+            with pytest.raises(ValueError, match=match):
+                _cfg(feature=F.FeatureSpec(variant, **window))
+        _cfg(feature=F.FeatureSpec("hog", hog=F.HogParams(cell_size=4),
+                                   **window))
+        _cfg(feature=F.FeatureSpec("canny", canny=F.CannyParams(kernel_size=32)))
+        _cfg(feature=F.FeatureSpec("sift", sift=F.SiftParams(support=32)))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -520,6 +540,36 @@ class TestMemory:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestLanes:
+    def test_demo_steps_stay_on_one_lane(self, tmp_path, monkeypatch):
+        """With a lane installed and PAIR_MIN as it is, a demo-size step
+        (SAR with HOG; 13 bands with Canny, whose patch embed is the largest
+        demo product) submits nothing to it; the decoder of criterion 6's
+        width does."""
+        jobs = []
+        lane = T._new_lane()
+        monkeypatch.setattr(T, "_lane", lane)
+        monkeypatch.setattr(lane, "submit", lambda *a: (
+            jobs.append(1), type(lane).submit(lane, *a))[1])
+        ms = D.synthesize_dataset(str(tmp_path / "ms"), "MS", n_locations=8,
+                                  seed=4, looks=1, size=32)
+        demo = _demo_config()
+        canny = dataclasses.replace(demo, model=demo.model.with_(in_channels=13),
+                                    feature=F.FeatureSpec("canny"))
+        wide = dataclasses.replace(demo, model=demo.model.with_(dec_width=128))
+        try:
+            _demo_trainer(tmp_path).train_step()
+            P.Trainer(canny, D.read_manifest(ms),
+                      os.path.dirname(ms)).train_step()
+            assert jobs == []
+            data = tmp_path / "data"
+            P.Trainer(wide, D.read_manifest(str(data / "manifest.csv")),
+                      str(data)).train_step()
+            assert jobs
+        finally:
+            lane.shutdown(wait=True)
 
 
 class TestTape:

@@ -1,20 +1,24 @@
 """Autodiff engine: per-op gradient checks against central finite differences,
 broadcasting reductions, and optimizer / schedule arithmetic."""
 
+import contextlib
 import gc
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fgmae import tensor as T
 from fgmae.tensor import Tensor
 from fgmae import optim as O
 
 from oracles import (getitem_reference, layer_norm_reference,
-                     matmul_weight_grad_reference)
+                     matmul_reference, matmul_weight_grad_reference)
 
 
 def _fd_check(f, x, tol=1e-4):
@@ -482,3 +486,172 @@ for k, (b, n, (d, e), dtype) in enumerate(itertools.product(
     bad += grads[0] != grads[1]
 print("mismatches", bad)
 """
+
+
+# -- the second lane ----------------------------------------------------------
+
+
+@contextlib.contextmanager
+def forced_lane(monkeypatch):
+    """Every big-product path on two lanes, whatever BLAS's thread count:
+    a fresh lane, and PAIR_MIN 0."""
+    lane = T._new_lane()
+    with monkeypatch.context() as m:
+        m.setattr(T, "_lane", lane)
+        m.setattr(T, "PAIR_MIN", 0)
+        try:
+            yield lane
+        finally:
+            lane.shutdown(wait=True)
+
+
+def _product(matmul, x0, w0, g, mode, buffer):
+    """Output and gradients of ``x @ w`` seeded with ``g`` upstream; mode
+    names the operand that takes no gradient, or "both" train."""
+    x = Tensor(x0, requires_grad=mode != "frozen-input")
+    w = Tensor(w0, requires_grad=mode != "frozen-weight")
+    if buffer:
+        w.grad_buffer = np.full_like(w0, np.nan)
+    y = matmul(x, w)
+    y.backward(g)
+    return y.data, x.grad, w.grad, w.grad is w.grad_buffer
+
+
+def _assert_same_array(got, want):
+    if want is None:
+        assert got is None
+        return
+    _assert_same_bits(got, want)
+    assert got.strides == want.strides
+
+
+class TestTwoLanes:
+    """Products split over two lanes against matmul on one lane: the same
+    bytes and layouts, and a lane that is safe to use."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(batch=st.sampled_from([0, 1, 2, 3, 8]),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           mode=st.sampled_from(["frozen-input", "frozen-weight", "both"]),
+           transposed=st.booleans(), buffer=st.booleans(),
+           n=st.integers(1, 5), d=st.integers(1, 24), e=st.integers(1, 24),
+           seed=st.integers(0, 2**16))
+    def test_bitwise_one_lane(self, batch, dtype, mode, transposed, buffer,
+                              n, d, e, seed):
+        gen = np.random.default_rng(seed)
+        x0 = gen.standard_normal((batch, n, d)).astype(dtype)
+        w0 = gen.standard_normal((d, e)).astype(dtype)
+        g = gen.standard_normal((batch, n, e)).astype(dtype)
+        if transposed:  # an upstream gradient in another layout
+            g = np.ascontiguousarray(np.swapaxes(g, 0, 2)).swapaxes(0, 2)
+        want = _product(matmul_reference, x0, w0, g, mode, buffer)
+        with pytest.MonkeyPatch.context() as mp, forced_lane(mp):
+            got = _product(T.matmul, x0, w0, g, mode, buffer)
+        for a, b in zip(got[:3], want[:3]):
+            _assert_same_array(a, b)
+        assert got[3] == want[3]
+
+    def test_waits_for_the_lane_before_raising(self, monkeypatch):
+        started, done = threading.Event(), []
+
+        def lane_job():
+            started.wait(10)
+            time.sleep(0.1)
+            done.append(True)
+
+        def caller():
+            started.set()
+            raise RuntimeError("caller")
+        with forced_lane(monkeypatch):
+            with pytest.raises(RuntimeError, match="caller"):
+                T._both(lane_job, caller)
+            assert done == [True]
+
+    def test_raises_the_lanes_exception_on_the_caller(self, monkeypatch):
+        def lane_job():
+            raise ValueError("on the lane")
+        with forced_lane(monkeypatch):
+            with pytest.raises(ValueError, match="on the lane"):
+                T._both(lane_job, lambda: None)
+
+    def test_lane_runs_in_the_callers_errstate(self, monkeypatch):
+        # only the lane's half overflows; a plain worker thread would warn
+        x = np.zeros((2, 4, 8), np.float32)
+        x[0] = 1e30
+        w = np.full((8, 3), 1e30, np.float32)
+        with forced_lane(monkeypatch):
+            with np.errstate(over="raise"):
+                with pytest.raises(FloatingPointError):
+                    T._halves(x, w)
+
+    def test_a_lane_job_does_not_submit_to_the_lane(self):
+        # in a child process: a lane waiting for itself would hang this one
+        # at exit too
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        out = subprocess.run(
+            [sys.executable, "-c", "from fgmae import tensor as T; "
+             "lane = T._new_lane(); T._lane = lane; "
+             "print(lane.submit(T._both, lambda: 1, lambda: 2).result())"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["(1,", "2)"]
+
+    def test_forked_child_gets_a_fresh_lane(self, monkeypatch):
+        with forced_lane(monkeypatch) as lane:
+            assert T._both(lambda: 1, lambda: 2) == (1, 2)  # thread started
+            pid = os.fork()
+            if pid == 0:
+                ok = T._lane is not lane and \
+                    T._both(lambda: 3, lambda: 4) == (3, 4)
+                os._exit(0 if ok else 1)
+            deadline = time.monotonic() + 30
+            while True:
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done or time.monotonic() > deadline:
+                    break
+                time.sleep(0.01)
+            if not done:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+            assert done and os.waitstatus_to_exitcode(status) == 0
+
+    def test_many_callers_share_the_lane(self, monkeypatch):
+        """More caller threads than cores, switching often: each keeps its
+        own bytes."""
+        gen = np.random.default_rng(0)
+        cases = [(gen.standard_normal((4, 3, 16)), gen.standard_normal((16, 12)),
+                  gen.standard_normal((4, 3, 12))) for _ in range(4)]
+        want = [_product(matmul_reference, *c, "both", False) for c in cases]
+        bad = []
+
+        def caller(i):
+            for _ in range(25):
+                got = _product(T.matmul, *cases[i], "both", False)
+                bad.extend(i for a, b in zip(got[:3], want[i][:3])
+                           if a.tobytes() != b.tobytes())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with forced_lane(monkeypatch):
+                threads = [threading.Thread(target=caller, args=(i,))
+                           for i in range(len(cases))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert bad == []
+
+    @pytest.mark.parametrize("env, pinned", [
+        ({}, False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, True),
+        ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, True),
+        ({"OMP_NUM_THREADS": "4"}, False)])
+    def test_blas_pinned_reads_openblas_order(self, env, pinned):
+        assert T._blas_pinned(env) is pinned
