@@ -18,13 +18,18 @@ and the tensor's ``grad_buffer`` is the view its first gradient of a
 backward pass is copied into (when C-contiguous; see ``tensor._accum``).
 ``adamw_step`` then updates each group in place, over blocks of ``BLOCK``
 elements, with two scratch blocks that stay in cache instead of a fresh
-temporary array per operation.
+temporary array per operation. A step over at least ``SPLIT_MIN``
+elements, in a process with a second lane (``tensor.two_lanes``), cuts its
+block list in two halves by element count: the lane checks and updates
+the first half with its own scratch pair, the caller the second with
+another, and both checks end before either half is written.
 
-Blocking keeps every bit. Each element still goes through the same IEEE
-operations in the same order, with the same operands: every operation is
-elementwise, correctly rounded and computed in the parameter dtype (the
-hyperparameters are Python floats, which numpy casts to that dtype).
-Where an element sits in a buffer or a block does not change its result.
+Blocking and the split keep every bit. Each element still goes through the
+same IEEE operations in the same order, with the same operands: every
+operation is elementwise, correctly rounded and computed in the parameter
+dtype (the hyperparameters are Python floats, which numpy casts to that
+dtype). Where an element sits in a buffer or a block, and which lane
+updates it, does not change its result.
 """
 
 from __future__ import annotations
@@ -34,14 +39,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import clip_global_norm, global_grad_norm
+from .tensor import clip_global_norm, global_grad_norm, two_lanes
 
 # Elements per block of the in-place update: the block's slices of p, g, m
-# and v and the two scratch blocks stay in cache between operations. On a
-# 2-core Xeon VM one ViT-S update took 150, 140, 118, 130, 144 and 163 ms
-# with blocks of 2^13 to 2^18, and one demo-model update inside training
-# 1.34, 1.18, 1.05, 1.05 and 1.36 ms with 2^13 to 2^16 and 2^18.
-BLOCK = 1 << 15
+# and v and the two scratch blocks stay in cache between operations, and
+# the Python cost of a block's 15 calls holds the interpreter lock, which
+# two lanes share. On a 2-core Xeon VM one ViT-S update (23 M elements)
+# took 132 ms on one lane with blocks of 2^15 or 2^17, and on two lanes
+# 119, 84, 77 and 83 ms with 2^15 to 2^18. A demo step has no run of
+# parameters longer than 2^16 elements (the 13-band patch embed is 53 K).
+BLOCK = 1 << 17
 
 # Elements per group at most (128 KB of float32), unless one parameter is
 # larger. Buffers this small are reused from the heap from one optimizer to
@@ -49,6 +56,13 @@ BLOCK = 1 << 15
 # Trainer took 18% longer than at the parent with 2^19 (392 minor faults)
 # and 7% longer with 2^15 (none).
 MAX_GROUP = 1 << 15
+
+# Elements a step updates at least before it is split over two lanes (see
+# adamw_step). With 2^17-element blocks, two lanes over one took 1.92,
+# 1.51, 1.31, 1.03, 1.08, 0.91, 0.94 and 0.79 times as long at 64 K, 128 K,
+# 256 K, 384 K, 512 K, 768 K, 1 M and 2 M elements (same VM, back-to-back
+# steps); a demo step updates about 230 K.
+SPLIT_MIN = 1 << 20
 
 
 class TrainingDiverged(RuntimeError):
@@ -159,18 +173,33 @@ class AdamW:
         self.scratch = None  # see adamw_step
 
 
-def _runs(group, params):
-    """[start, stop) runs of a group's buffers whose parameters have a
-    gradient, adjacent ones merged."""
-    runs = []
-    for name, a, b in group.members:
-        if params[name].grad is None or a == b:
-            continue
-        if runs and runs[-1][1] == a:
-            runs[-1][1] = b
-        else:
-            runs.append([a, b])
-    return runs
+def _blocks(opt):
+    """(group, start, stop) of every block the step updates, in buffer
+    order: the runs of each group's buffers whose parameters have a
+    gradient, adjacent ones merged, cut into ``BLOCK`` elements."""
+    blocks = []
+    for group in opt.groups:
+        runs = []
+        for name, a, b in group.members:
+            if opt.params[name].grad is None or a == b:
+                continue
+            if runs and runs[-1][1] == a:
+                runs[-1][1] = b
+            else:
+                runs.append([a, b])
+        blocks += [(group, a, min(a + BLOCK, stop)) for start, stop in runs
+                   for a in range(start, stop, BLOCK)]
+    return blocks
+
+
+def _cut(blocks):
+    """The block list in two: the shortest head that holds at least half
+    of the elements, and the rest."""
+    half, done, cut = sum(b - a for _, a, b in blocks) / 2, 0, 0
+    while done < half:
+        done += blocks[cut][2] - blocks[cut][1]
+        cut += 1
+    return [blocks[:cut], blocks[cut:]]
 
 
 def _all_finite(x):
@@ -178,6 +207,19 @@ def _all_finite(x):
     flat = x.reshape(-1)
     return all(np.isfinite(flat[a:a + BLOCK]).all()
                for a in range(0, flat.size, BLOCK))
+
+
+def _finite(blocks):
+    return all(np.isfinite(group.g[a:b]).all() for group, a, b in blocks)
+
+
+def _scratch(blocks):
+    """One pair of scratch blocks per dtype, as long as the longest block."""
+    longest = {}
+    for group, a, b in blocks:
+        dtype = group.p.dtype
+        longest[dtype] = max(longest.get(dtype, 0), b - a)
+    return {dtype: np.empty((2, n), dtype) for dtype, n in longest.items()}
 
 
 def adamw_step(opt, lr=None):
@@ -189,7 +231,8 @@ def adamw_step(opt, lr=None):
     schedules). Every gradient is checked before anything is written: a
     non-finite one raises FloatingPointError naming the first such
     parameter in ``opt.params`` order, and leaves the parameters, the
-    moments and ``opt.t`` as they were.
+    moments and ``opt.t`` as they were. A big step runs on two lanes
+    (see the module docstring) and returns with the lane idle.
     """
     if lr is None:
         lr = opt.lr
@@ -197,60 +240,67 @@ def adamw_step(opt, lr=None):
     for name, p in params.items():
         if p.grad is not None and p.grad is not views[name][1]:
             np.copyto(views[name][1], p.grad, casting="unsafe")
-    plan = [(group, _runs(group, params)) for group in opt.groups]
-    if not all(_all_finite(group.g[a:b]) for group, runs in plan
-               for a, b in runs):
+    blocks = _blocks(opt)
+    size = sum(b - a for _, a, b in blocks)
+    both = two_lanes() if size >= SPLIT_MIN else None
+    if both is None:
+        halves = [blocks]
+        finite = _finite(blocks)
+    else:
+        halves = _cut(blocks)
+        finite = all(both(lambda: _finite(halves[0]),
+                          lambda: _finite(halves[1])))
+    if not finite:
         for name, p in params.items():
             if p.grad is not None and not _all_finite(views[name][1]):
                 raise FloatingPointError(
                     f"non-finite gradient for parameter {name!r}")
     opt.t += 1
-    t = opt.t
-    beta1, beta2, eps = opt.beta1, opt.beta2, opt.eps
-    c1, c2 = 1.0 - beta1, 1.0 - beta2
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
-    # One pair of scratch blocks per dtype for the whole step, as long as the
-    # longest run needs. They stay on the optimizer until the next step. Made
-    # after the step's tape, they keep glibc from trimming the heap top when
-    # the tape is freed; freed here, each step handed those pages back and
-    # faulted them in again (about 4,800 minor faults per 13-band demo step
-    # and 600 per checkpoint load, 0 with the blocks kept).
-    longest = {}
-    for group, runs in plan:
-        dtype = group.p.dtype
-        longest[dtype] = max([longest.get(dtype, 0), *(b - a for a, b in runs)])
-    block = BLOCK
-    opt.scratch = {dtype: np.empty((2, min(block, n)), dtype)
-                   for dtype, n in longest.items()}
-    for group, runs in plan:
-        wd = 0.0 if group.exempt else opt.weight_decay
-        step = lr * group.scale
-        s1, s2 = opt.scratch[group.p.dtype]
-        for start, stop in runs:
-            for a in range(start, stop, block):
-                b = min(a + block, stop)
-                p, g, m, v = group.p[a:b], group.g[a:b], group.m[a:b], group.v[a:b]
-                t1, t2 = s1[:b - a], s2[:b - a]
-                np.multiply(m, beta1, out=m)                # m *= beta1
-                np.multiply(g, c1, out=t1)
-                np.add(m, t1, out=m)                        # m += (1 - beta1) g
-                np.multiply(v, beta2, out=v)                # v *= beta2
-                np.multiply(g, c2, out=t1)
-                np.multiply(t1, g, out=t1)
-                np.add(v, t1, out=v)                        # v += (1 - beta2) g g
-                np.divide(m, bc1, out=t1)                   # m_hat
-                np.divide(v, bc2, out=t2)                   # v_hat
-                np.sqrt(t2, out=t2)
-                np.add(t2, eps, out=t2)
-                np.divide(t1, t2, out=t1)                   # m_hat / (sqrt + eps)
-                np.multiply(p, wd, out=t2)
-                np.add(t1, t2, out=t1)                      # ... + wd p
-                np.multiply(t1, step, out=t1)
-                np.subtract(p, t1, out=p)                   # p -= lr scale (...)
+    # One pair of scratch blocks per dtype and lane for the whole step. They
+    # stay on the optimizer until the next step. Made after the step's tape,
+    # they keep glibc from trimming the heap top when the tape is freed;
+    # freed here, each step handed those pages back and faulted them in
+    # again (about 4,800 minor faults per 13-band demo step and 600 per
+    # checkpoint load, 0 with the blocks kept).
+    opt.scratch = [_scratch(half) for half in halves]
+    if both is None:
+        _update(opt, blocks, opt.scratch[0], lr)
+    else:
+        both(lambda: _update(opt, halves[0], opt.scratch[0], lr),
+             lambda: _update(opt, halves[1], opt.scratch[1], lr))
     for name, p in params.items():
         if p.grad is not None and name not in opt.m:
             opt.m[name], opt.v[name] = views[name][2:]
+
+
+def _update(opt, blocks, scratch, lr):
+    """Step ``opt.t``'s Adam update of each block in place, with the
+    scratch pairs of one lane."""
+    beta1, beta2, eps, t = opt.beta1, opt.beta2, opt.eps, opt.t
+    c1, c2 = 1.0 - beta1, 1.0 - beta2
+    bc1, bc2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+    for group, a, b in blocks:
+        wd = 0.0 if group.exempt else opt.weight_decay
+        step = lr * group.scale
+        p, g, m, v = group.p[a:b], group.g[a:b], group.m[a:b], group.v[a:b]
+        s1, s2 = scratch[group.p.dtype]
+        t1, t2 = s1[:b - a], s2[:b - a]
+        np.multiply(m, beta1, out=m)                # m *= beta1
+        np.multiply(g, c1, out=t1)
+        np.add(m, t1, out=m)                        # m += (1 - beta1) g
+        np.multiply(v, beta2, out=v)                # v *= beta2
+        np.multiply(g, c2, out=t1)
+        np.multiply(t1, g, out=t1)
+        np.add(v, t1, out=v)                        # v += (1 - beta2) g g
+        np.divide(m, bc1, out=t1)                   # m_hat
+        np.divide(v, bc2, out=t2)                   # v_hat
+        np.sqrt(t2, out=t2)
+        np.add(t2, eps, out=t2)
+        np.divide(t1, t2, out=t1)                   # m_hat / (sqrt + eps)
+        np.multiply(p, wd, out=t2)
+        np.add(t1, t2, out=t1)                      # ... + wd p
+        np.multiply(t1, step, out=t1)
+        np.subtract(p, t1, out=p)                   # p -= lr scale (...)
 
 
 def sgd_step(params, lr, weight_decay=0.0):

@@ -24,21 +24,31 @@ which is never made (19 MB per MLP layer at ViT-S). One 2-D GEMM over all
 B·N rows would be faster still, but it sums the rows in another order and
 so rounds differently.
 
-Big products run on two lanes: the caller and one worker thread
-(``_both``). A product of a (B, N, D) input and a (D, E) weight of at
-least ``PAIR_MIN`` multiply-adds splits its forward over the samples, the
-first half on the lane and the rest on the caller, and so does the input
-gradient toward a frozen weight; when both operands take gradients, the
-weight's gradient runs on the lane beside the input's product. Numpy's
-batched product makes one GEMM per sample, with the same operands and
-strides whether it is called on the whole batch or on a half, and the two
-lanes write disjoint arrays; gradients are accumulated on the caller in
-the old order, input first. So every bit, and every gradient's layout, is
-the single-lane one. The lane exists only when OpenBLAS is pinned to one
-thread (``OPENBLAS_NUM_THREADS``, else ``GOTO_NUM_THREADS``, else
-``OMP_NUM_THREADS`` reads 1) and the process may use two CPUs or more:
-two lanes of threaded BLAS oversubscribe the cores and run slower.
-Otherwise, and for every smaller product, ``matmul`` runs on one lane.
+Big products run on two lanes: the caller and one worker thread, the
+lane. A product of a (B, N, D) input and a (D, E) weight of at least
+``PAIR_MIN`` multiply-adds splits its forward over the samples, the first
+half on the lane and the rest on the caller, and so does the input
+gradient toward a frozen weight. When such a weight trains, its backward
+queues ``_weight_grad`` on the lane and does not wait: backward walks on
+to the next node while the lane sums it. Each calling thread keeps its own
+queue for the pass it runs. A queued gradient is settled, waited for and
+accumulated, before anything else touches that tensor's gradient, and
+``Tensor.backward`` waits for every job it queued before it returns or
+raises, then accumulates what is left in the order the closures queued it.
+So each tensor's gradients are accumulated in the single-lane order, and
+the gradient buffer a job writes into is chosen when it is queued, as the
+single-lane pass would choose it then. Numpy's batched product makes one
+GEMM per sample, with the same operands and strides whether it is called
+on the whole batch or on a half, and the two lanes write disjoint arrays.
+So every bit, and every gradient's layout, is the single-lane one
+(``tests/oracles.matmul_reference``). The optimizer borrows the lane
+through ``two_lanes`` for its big steps (see ``optim``). Nothing that runs
+on the lane calls a public function of this package. The lane exists only
+when OpenBLAS is pinned to one thread (``OPENBLAS_NUM_THREADS``, else
+``GOTO_NUM_THREADS``, else ``OMP_NUM_THREADS`` reads 1) and the process may
+use two CPUs or more: two lanes of threaded BLAS oversubscribe the cores
+and run slower. Otherwise, and for every smaller product, ``matmul`` runs
+on one lane.
 """
 
 from __future__ import annotations
@@ -123,9 +133,19 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.asarray(grad, dtype=self.data.dtype)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        queued = _queue.jobs = {}
+        try:
+            for node in reversed(topo):
+                if node._backward is not None:
+                    if queued:  # a weight that is itself a tape node
+                        _settle(node)
+                    if node.grad is not None:
+                        node._backward(node.grad)
+        finally:
+            _queue.jobs = None
+            futures.wait([job for _, job in queued.values()])
+        for t, job in queued.values():
+            _accum(t, job.result())
 
     # -- operators -----------------------------------------------------------
 
@@ -220,6 +240,8 @@ def _grad_buffer_for(t, shape):
     t has a buffer, holds no gradient yet in this backward pass, and the
     gradient has t's shape; else None. ``_accum`` copies such a gradient
     in, and ``_weight_grad`` sums straight into it, saving that copy."""
+    if _queue.jobs:
+        _settle(t)
     if t.grad is None and t.grad_buffer is not None and shape == t.shape:
         return t.grad_buffer
     return None
@@ -235,6 +257,8 @@ def _accum(t, g):
     alike; anything else is copied or added into a new array, as before."""
     if not t.requires_grad:
         return
+    if _queue.jobs:
+        _settle(t)
     if t.grad is None:
         buf = _grad_buffer_for(t, g.shape)
         if g is buf:
@@ -454,18 +478,15 @@ def matmul(a, b):
     out = _node(y, (a, b))
     if out.requires_grad:
         def _bw(g, a=a, b=b, paired=paired):
-            if paired and a.requires_grad and b.requires_grad:
-                # the weight's gradient on the lane beside the input's
-                gb, ga = _both(lambda: _weight_grad(a.data, g, b),
-                               lambda: np.matmul(g, b.data.T))
-                _accum(a, ga)
-                _accum(b, gb)
-                return
+            queue = paired and b.requires_grad
+            if queue:  # the weight's gradient, summed on the lane meanwhile
+                job = _submit(_weight_grad_job(a.data, g, b))
+                _queue.jobs[id(b)] = (b, job)
             if a.requires_grad:
                 bt = np.swapaxes(b.data, -1, -2)
-                ga = _halves(g, bt) if paired else np.matmul(g, bt)
+                ga = _halves(g, bt) if paired and not queue else np.matmul(g, bt)
                 _accum(a, _unbroadcast(ga, a.shape))
-            if not b.requires_grad:
+            if queue or not b.requires_grad:
                 return
             if b.data.ndim == 2:
                 _accum(b, _weight_grad(a.data, g, b))
@@ -481,21 +502,30 @@ def _weight_grad(x, g, w):
     summed over the leading (batch) indices ``i`` of ``x`` in C order, or
     ``x.T @ g`` for a 2-D ``x``; bitwise the batched product summed over
     its leading axes (see the module docstring), with no stack made."""
+    return _weight_grad_job(x, g, w)()
+
+
+def _weight_grad_job(x, g, w):
+    """``_weight_grad`` as a job to run later: the array it sums into (w's
+    gradient buffer when free, else a new one) is chosen now."""
     acc = _grad_buffer_for(w, w.shape)
     dtype = np.result_type(x, g)
     if acc is None or acc.dtype != dtype:
         acc = np.empty(w.shape, dtype)
-    idxs = list(np.ndindex(x.shape[:-2]))
-    if not idxs:  # an empty batch
-        acc[...] = 0
+
+    def job():
+        idxs = list(np.ndindex(x.shape[:-2]))
+        if not idxs:  # an empty batch
+            acc[...] = 0
+            return acc
+        np.matmul(x[idxs[0]].T, g[idxs[0]], out=acc)
+        if len(idxs) > 1:
+            tmp = np.empty_like(acc)
+            for idx in idxs[1:]:
+                np.matmul(x[idx].T, g[idx], out=tmp)
+                np.add(acc, tmp, out=acc)
         return acc
-    np.matmul(x[idxs[0]].T, g[idxs[0]], out=acc)
-    if len(idxs) > 1:
-        tmp = np.empty_like(acc)
-        for idx in idxs[1:]:
-            np.matmul(x[idx].T, g[idx], out=tmp)
-            np.add(acc, tmp, out=acc)
-    return acc
+    return job
 
 
 # -- the second lane ----------------------------------------------------------
@@ -551,21 +581,56 @@ def _fresh_lane():
 os.register_at_fork(after_in_child=_fresh_lane)
 
 
-def _both(f, g):
-    """``(f(), g())``: f on the lane, in the caller's context (so that
-    ``np.errstate`` holds there too), and g on the caller. Returns or
-    raises only once f is done, so no job still writes into an array the
-    caller has given up; g's exception wins over f's. Runs both here when
-    there is no lane or when called from the lane, whose one worker would
-    otherwise wait for itself."""
+def two_lanes():
+    """``both(f, g)``, which returns ``(f(), g())`` with f on the second
+    lane and g on the caller, once both are done; or None when this
+    process has no second lane, or when called from it."""
     if _lane is None or getattr(_on_lane, "here", False):
-        return f(), g()
-    job = _lane.submit(contextvars.copy_context().run, f)
+        return None
+    return _both
+
+
+def _submit(f):
+    """A future of ``f()``, run on the lane in the caller's context (so
+    that ``np.errstate`` holds there). Runs f here at once when there is
+    no lane or when called from the lane, whose one worker would otherwise
+    wait for itself."""
+    if two_lanes() is None:
+        job = futures.Future()
+        try:
+            job.set_result(f())
+        except Exception as e:  # raised where the result is read
+            job.set_exception(e)
+        return job
+    return _lane.submit(contextvars.copy_context().run, f)
+
+
+def _both(f, g):
+    """``(f(), g())``: f on the lane (``_submit``) and g on the caller.
+    Returns or raises only once f is done, so no job still writes into an
+    array the caller has given up; g's exception wins over f's."""
+    job = _submit(f)
     try:
         y = g()
     finally:
         futures.wait((job,))
     return job.result(), y
+
+
+class _Queue(threading.local):
+    # jobs: {id(w): (w, future)}, the weight gradients that the calling
+    # thread's backward pass has queued and not yet settled; None outside
+    # a pass
+    jobs = None
+
+
+_queue = _Queue()
+
+
+def _settle(t):
+    """Accumulate t's queued gradient into t.grad, once it is done."""
+    if id(t) in _queue.jobs:
+        _accum(t, _queue.jobs.pop(id(t))[1].result())
 
 
 def _halves(x, w):

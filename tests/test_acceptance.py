@@ -275,32 +275,42 @@ _TWO_LANE_CONFIG = dataclasses.replace(
     model=_CRITERION_5_CONFIG.model.with_(enc_width=64, enc_depth=2,
                                           dec_width=128, dec_depth=2))
 
+# the same with a 128-wide encoder of depth 4: 1.2 M parameters, above the
+# optimizer's SPLIT_MIN, so AdamW splits its steps over the two lanes too
+_TWO_LANE_STEP_CONFIG = dataclasses.replace(
+    _TWO_LANE_CONFIG, model=_TWO_LANE_CONFIG.model.with_(enc_width=128,
+                                                         enc_depth=4))
+
 _COUNTED_PRETRAIN = """
-import sys
+import collections, json, sys
 from fgmae import cli, tensor as T
-jobs = []
+jobs = collections.Counter()
 if T._lane is not None:
     submit = T._lane.submit
-    T._lane.submit = lambda *a: (jobs.append(1), submit(*a))[1]
+    def counting(run, job):
+        jobs[job.__qualname__.split(".<locals>")[0]] += 1
+        return submit(run, job)
+    T._lane.submit = counting
 code = cli.main(["pretrain", "--config", sys.argv[1], "--out", sys.argv[2]])
-print(len(jobs), T._cpus())
+print(json.dumps({"jobs": jobs, "cpus": T._cpus()}))
 sys.exit(code)
 """
 
 
-def test_two_lanes_bitwise_across_processes(tmp_path):
-    """``fgmae pretrain`` at a geometry that reaches PAIR_MIN, in a child
-    with OpenBLAS on one thread (two lanes) and one with two threads (one
-    lane), the variables set for each child only: the loss logs and every
-    checkpoint tensor are the same bytes."""
+def _pretrain_on_one_and_two_lanes(tmp_path, cfg):
+    """``fgmae pretrain`` of ``cfg`` in a child with OpenBLAS on one thread
+    (two lanes) and one with two threads (one lane), the variables set for
+    each child only. Asserts that the loss logs and every checkpoint tensor
+    are the same bytes; returns the pinned child's lane jobs by the
+    function that submitted them, and its CPU count."""
     # one scene per location and epoch: 8 locations fill a batch of 8
     manifest = D.synthesize_dataset(str(tmp_path / "data"), "SAR",
                                     n_locations=8, seed=3, looks=1, size=32)
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     config = tmp_path / "pretrain.json"
-    config.write_text(json.dumps({**dataclasses.asdict(_TWO_LANE_CONFIG),
+    config.write_text(json.dumps({**dataclasses.asdict(cfg),
                                   "manifest": manifest}))
-    jobs = {}
+    report = {}
     for threads in ("1", "2"):
         env = {k: v for k, v in os.environ.items()
                if k not in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
@@ -309,10 +319,8 @@ def test_two_lanes_bitwise_across_processes(tmp_path):
                               str(config), str(tmp_path / threads)],
                              env=env, capture_output=True, text=True, timeout=300)
         assert out.returncode == 0, (threads, out.stderr)
-        n, cpus = map(int, out.stdout.split()[-2:])
-        jobs[threads] = n
-    assert jobs["2"] == 0
-    assert (jobs["1"] > 0) is (cpus >= 2)
+        report[threads] = json.loads(out.stdout.splitlines()[-1])
+    assert report["2"]["jobs"] == {}
     one, two = tmp_path / "1", tmp_path / "2"
     assert (one / "loss_log.csv").read_bytes() == (two / "loss_log.csv").read_bytes()
     tensors = sorted(n for n in os.listdir(one / "checkpoint") if n.endswith(".fgmr"))
@@ -321,6 +329,23 @@ def test_two_lanes_bitwise_across_processes(tmp_path):
     for n in tensors:
         assert (one / "checkpoint" / n).read_bytes() == \
             (two / "checkpoint" / n).read_bytes(), n
+    return report["1"]["jobs"], report["1"]["cpus"]
+
+
+def test_two_lanes_bitwise_across_processes(tmp_path):
+    """``fgmae pretrain`` at a geometry that reaches PAIR_MIN: the same
+    bytes on two lanes and on one, and the products used the lane."""
+    jobs, cpus = _pretrain_on_one_and_two_lanes(tmp_path, _TWO_LANE_CONFIG)
+    assert (jobs.get("_weight_grad_job", 0) > 0) is (cpus >= 2)
+    assert "adamw_step" not in jobs  # 0.5 M parameters, below SPLIT_MIN
+
+
+def test_two_lane_steps_bitwise_across_processes(tmp_path):
+    """The same at a model above the optimizer's SPLIT_MIN: the AdamW steps
+    and the weight gradients used the lane, and the bytes are the same."""
+    jobs, cpus = _pretrain_on_one_and_two_lanes(tmp_path, _TWO_LANE_STEP_CONFIG)
+    for kind in ("_weight_grad_job", "adamw_step"):
+        assert (jobs.get(kind, 0) > 0) is (cpus >= 2), (kind, jobs)
 
 
 def test_criterion_6_overfit_sanity():

@@ -8,6 +8,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fgmae import data as D
 from fgmae import evaluate as E
@@ -20,6 +21,7 @@ from fgmae.rng import Rng
 from fgmae.tensor import Tensor
 from oracles import adamw_step_reference
 from test_pretrain import _dataset
+from test_tensor import forced_lane, lane_idle
 
 SHAPES = {"w1": (5, 3), "b1": (3,), "x.ln.g": (11,), "w2": (4, 4), "tok": (1, 1, 6)}
 
@@ -110,6 +112,107 @@ def test_nonfinite_gradient_changes_nothing():
         O.sgd_step(params, lr=0.1)
     for n, p in params.items():
         assert p.data.tobytes() == before[n].tobytes(), n
+
+
+# -- the step on two lanes ----------------------------------------------------
+
+
+def _split_case(members, seed):
+    """Two equal parameter dicts for ``members``, a list of (size, f64,
+    exempt, lr scale) with names in that order, and their lr scales."""
+    gen = np.random.default_rng(seed)
+    shapes = {}
+    for i, (size, f64, exempt, scale) in enumerate(members):
+        name = f"p{i}.ln.g" if exempt else f"p{i}.w"
+        shapes[name] = (size, np.float64 if f64 else np.float32, scale)
+    values = {n: gen.standard_normal(size).astype(dtype)
+              for n, (size, dtype, _) in shapes.items()}
+    scales = {n: scale for n, (_, _, scale) in shapes.items()}
+    return ([{n: Tensor(v.copy(), requires_grad=True) for n, v in values.items()}
+             for _ in range(2)], scales)
+
+
+def _halves_of(opt):
+    """Parameter names whose elements the lane's half and the caller's
+    half of the next step update."""
+    names = []
+    for half in O._cut(O._blocks(opt)):
+        names.append({n for group, a, b in half for n, lo, hi in group.members
+                      if lo < b and a < hi})
+    return names
+
+
+@settings(max_examples=60, deadline=None)
+@given(members=st.lists(st.tuples(st.integers(0, 23), st.booleans(), st.booleans(),
+                                  st.sampled_from([1.0, 0.75, 0.5625])),
+                        min_size=1, max_size=7),
+       block=st.integers(1, 9), max_group=st.sampled_from([8, 16, 1 << 15]),
+       skips=st.lists(st.integers(0, 6), max_size=3), seed=st.integers(0, 2**16))
+def test_two_lanes_step_the_one_lane_bits(members, block, max_group, skips, seed):
+    """The lane's half and the caller's, cut anywhere in groups of both
+    dtypes, exempt or not, scaled or not, with parameters that have no
+    gradient on a step: the parameters, both moments and t of the one-lane
+    step."""
+    (one, two), scales = _split_case(members, seed)
+    gen = np.random.default_rng(seed + 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(O, "BLOCK", block)
+        mp.setattr(O, "MAX_GROUP", max_group)
+        st_one = _state(one, scales)
+        with forced_lane(mp) as lane:
+            st_two = _state(two, scales)
+            for step in range(3):
+                grads = {n: None if i in skips and step < 2 else
+                         gen.standard_normal(p.data.shape).astype(p.data.dtype)
+                         for i, (n, p) in enumerate(one.items())}
+                for params in (one, two):
+                    for n, p in params.items():
+                        p.grad = grads[n]
+                O.adamw_step(st_two, lr=1e-2 * (step + 1))
+                assert lane_idle(lane)
+                with pytest.MonkeyPatch.context() as one_lane:
+                    one_lane.setattr(O, "SPLIT_MIN", 1 << 62)
+                    O.adamw_step(st_one, lr=1e-2 * (step + 1))
+                _assert_same(two, st_two, one, st_one)
+        assert len(lane.jobs) == 6
+
+
+@pytest.mark.parametrize("bad", [["lane"], ["caller"], ["caller", "lane, later"]])
+def test_nonfinite_gradient_on_either_lane_changes_nothing(bad, monkeypatch):
+    """A NaN in the lane's half, in the caller's, or in both with the
+    caller's first in ``opt.params`` order: the first is named and nothing
+    changes."""
+    monkeypatch.setattr(O, "BLOCK", 4)
+    # groups in buffer order: p0 and p4 (36 elements, the lane's half), the
+    # exempt p1, the f64 p2, and p3 at half the lr
+    members = [(32, False, False, 1.0), (12, False, True, 1.0),
+               (7, True, False, 1.0), (10, False, False, 0.5), (4, False, False, 1.0)]
+    (params, _), scales = _split_case(members, 3)
+    rng = np.random.default_rng(4)
+    with forced_lane(monkeypatch) as lane:
+        opt = _state(params, scales)
+        for n, p in params.items():
+            p.grad = rng.standard_normal(p.data.shape).astype(p.data.dtype)
+        O.adamw_step(opt)
+        lane_half, caller_half = _halves_of(opt)
+        where = {"lane": "p0.w", "caller": "p1.ln.g", "lane, later": "p4.w"}
+        assert {where["lane"], where["lane, later"]} <= lane_half - caller_half
+        assert where["caller"] in caller_half - lane_half
+        before = {n: p.data.copy() for n, p in params.items()}
+        moments = {n: (opt.m[n].copy(), opt.v[n].copy()) for n in opt.m}
+        grads = {n: np.ones(p.data.shape, p.data.dtype) for n, p in params.items()}
+        for side in bad:
+            grads[where[side]][2] = np.nan
+        for n, p in params.items():
+            p.grad = grads[n]
+        with pytest.raises(FloatingPointError, match=repr(where[bad[0]])):
+            O.adamw_step(opt)
+        assert lane_idle(lane)
+    assert opt.t == 1
+    for n, p in params.items():
+        assert p.data.tobytes() == before[n].tobytes(), n
+        assert opt.m[n].tobytes() == moments[n][0].tobytes(), n
+        assert opt.v[n].tobytes() == moments[n][1].tobytes(), n
 
 
 def test_exempts_exactly_the_norms_and_the_mask_token(monkeypatch):

@@ -6,6 +6,7 @@ import gc
 import json
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -544,10 +545,10 @@ class TestMemory:
 
 class TestLanes:
     def test_demo_steps_stay_on_one_lane(self, tmp_path, monkeypatch):
-        """With a lane installed and PAIR_MIN as it is, a demo-size step
-        (SAR with HOG; 13 bands with Canny, whose patch embed is the largest
-        demo product) submits nothing to it; the decoder of criterion 6's
-        width does."""
+        """With a lane installed and PAIR_MIN and SPLIT_MIN as they are, a
+        demo-size step (SAR with HOG; 13 bands with Canny, whose patch
+        embed is the largest demo product) and its AdamW step submit
+        nothing to it; the decoder of criterion 6's width does."""
         jobs = []
         lane = T._new_lane()
         monkeypatch.setattr(T, "_lane", lane)
@@ -560,16 +561,57 @@ class TestLanes:
                                     feature=F.FeatureSpec("canny"))
         wide = dataclasses.replace(demo, model=demo.model.with_(dec_width=128))
         try:
-            _demo_trainer(tmp_path).train_step()
-            P.Trainer(canny, D.read_manifest(ms),
-                      os.path.dirname(ms)).train_step()
-            assert jobs == []
+            for trainer in (_demo_trainer(tmp_path), P.Trainer(
+                    canny, D.read_manifest(ms), os.path.dirname(ms))):
+                trainer.train_step()
+                for p in trainer.model.params.values():
+                    p.grad = np.ones_like(p.data)
+                O.adamw_step(trainer.opt)
+                assert jobs == []
             data = tmp_path / "data"
             P.Trainer(wide, D.read_manifest(str(data / "manifest.csv")),
                       str(data)).train_step()
             assert jobs
         finally:
             lane.shutdown(wait=True)
+
+    def test_lane_runs_no_traced_function_and_ends_idle(self, tmp_path,
+                                                         monkeypatch):
+        """With every product and the AdamW step on two lanes: perfbench's
+        tracer, which keeps one span stack per process, opens every span on
+        the calling thread; the lane is idle whenever backward or the step
+        returns; and the step trains the one-lane bits."""
+        from perfbench import tracer as tracing
+        from test_tensor import forced_lane, lane_idle
+        want = _demo_trainer(tmp_path)
+        want.train_step()
+        main, threads, idle = threading.get_ident(), set(), []
+        tracer = tracing.Tracer()
+        open_span = tracer.open
+
+        def recording(nid):
+            threads.add(threading.get_ident())
+            return open_span(nid)
+        monkeypatch.setattr(tracer, "open", recording)
+        with forced_lane(monkeypatch) as lane:
+            for owner, name in ((T.Tensor, "backward"), (O, "adamw_step")):
+                def ends_idle(*a, _f=getattr(owner, name), **k):
+                    out = _f(*a, **k)
+                    idle.append(lane_idle(lane))
+                    return out
+                monkeypatch.setattr(owner, name, ends_idle)
+            restore = tracing.instrument(tracer)
+            try:
+                got = _demo_trainer(tmp_path)
+                got.train_step()
+            finally:
+                restore()
+            names = {n.split(".<locals>")[0] for n, _ in lane.jobs}
+        assert names == {"_halves", "_weight_grad_job", "adamw_step"}
+        assert threads == {main} and tracer.start
+        assert idle == [True, True]
+        assert got.loss_log == want.loss_log
+        assert params_digest(got.model.params) == params_digest(want.model.params)
 
 
 class TestTape:

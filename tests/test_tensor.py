@@ -493,16 +493,31 @@ print("mismatches", bad)
 
 @contextlib.contextmanager
 def forced_lane(monkeypatch):
-    """Every big-product path on two lanes, whatever BLAS's thread count:
-    a fresh lane, and PAIR_MIN 0."""
+    """Every two-lane path taken, whatever BLAS's thread count: a fresh
+    lane, and PAIR_MIN and the optimizer's SPLIT_MIN 0. ``lane.jobs`` lists
+    (job name, future) for each job submitted to it."""
     lane = T._new_lane()
+    lane.jobs = []
+    submit = lane.submit
+
+    def recording(run, job):
+        future = submit(run, job)
+        lane.jobs.append((job.__qualname__, future))
+        return future
     with monkeypatch.context() as m:
         m.setattr(T, "_lane", lane)
         m.setattr(T, "PAIR_MIN", 0)
+        m.setattr(O, "SPLIT_MIN", 0)
+        m.setattr(lane, "submit", recording)
         try:
             yield lane
         finally:
             lane.shutdown(wait=True)
+
+
+def lane_idle(lane):
+    """True when every job submitted to ``lane`` has finished."""
+    return all(future.done() for _, future in lane.jobs)
 
 
 def _product(matmul, x0, w0, g, mode, buffer):
@@ -515,6 +530,14 @@ def _product(matmul, x0, w0, g, mode, buffer):
     y = matmul(x, w)
     y.backward(g)
     return y.data, x.grad, w.grad, w.grad is w.grad_buffer
+
+
+def _same_bits(got, want):
+    if not isinstance(want, np.ndarray):
+        return got == want
+    return (isinstance(got, np.ndarray) and got.dtype == want.dtype
+            and got.shape == want.shape and got.strides == want.strides
+            and got.tobytes() == want.tobytes())
 
 
 def _assert_same_array(got, want):
@@ -617,23 +640,39 @@ class TestTwoLanes:
             assert done and os.waitstatus_to_exitcode(status) == 0
 
     def test_many_callers_share_the_lane(self, monkeypatch):
-        """More caller threads than cores, switching often: each keeps its
-        own bytes."""
+        """More caller threads than cores, switching often: each finishes
+        its rounds and keeps its own bytes, through paired products whose
+        backward queues on the lane, a weight used twice included."""
         gen = np.random.default_rng(0)
         cases = [(gen.standard_normal((4, 3, 16)), gen.standard_normal((16, 12)),
                   gen.standard_normal((4, 3, 12))) for _ in range(4)]
-        want = [_product(matmul_reference, *c, "both", False) for c in cases]
-        bad = []
+        twice = [_linear_case(i, 4, 3, 16, 12, np.float64, uses=2)
+                 for i in range(len(cases))]
+        want = [_product(matmul_reference, *c, "both", i % 2 == 0)
+                for i, c in enumerate(cases)]
+        want_twice = [_linear_grads(matmul_reference, *c, buffer=True)
+                      for c in twice]
+        rounds, errors, bad = [0] * len(cases), [None] * len(cases), []
 
         def caller(i):
-            for _ in range(25):
-                got = _product(T.matmul, *cases[i], "both", False)
-                bad.extend(i for a, b in zip(got[:3], want[i][:3])
-                           if a.tobytes() != b.tobytes())
+            try:
+                for _ in range(25):
+                    got = _product(T.matmul, *cases[i], "both", i % 2 == 0)
+                    bad.extend(i for a, b in zip(got, want[i])
+                               if not _same_bits(a, b))
+                    gx, gw, in_buffer = _linear_grads(T.matmul, *twice[i],
+                                                      buffer=True)
+                    rx, rw, _ = want_twice[i]
+                    bad.extend(i for a, b in zip(gx + [gw, in_buffer],
+                                                 rx + [rw, True])
+                               if not _same_bits(a, b))
+                    rounds[i] += 1
+            except BaseException as e:  # recorded, so that the test fails
+                errors[i] = e
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with forced_lane(monkeypatch):
+            with forced_lane(monkeypatch) as lane:
                 threads = [threading.Thread(target=caller, args=(i,))
                            for i in range(len(cases))]
                 for t in threads:
@@ -641,9 +680,93 @@ class TestTwoLanes:
                 for t in threads:
                     t.join(60)
                 assert not any(t.is_alive() for t in threads)
+                assert lane_idle(lane)
         finally:
             sys.setswitchinterval(interval)
+        assert errors == [None] * len(cases)
+        assert rounds == [25] * len(cases)
         assert bad == []
+        assert sum(name.startswith("_weight_grad_job") for name, _ in lane.jobs) \
+            == 25 * 3 * len(cases)
+
+    @pytest.mark.parametrize("buffer", [False, True])
+    def test_a_weight_used_twice(self, monkeypatch, buffer):
+        """``x @ w + y @ w``: two queued jobs for one weight. Its buffer
+        goes to the job queued first, as it goes to the first gradient on
+        one lane."""
+        case = _linear_case(3, 4, 7, 32, 48, np.float32, uses=2)
+        rx, rw, r_buffer = _linear_grads(matmul_reference, *case, buffer=buffer)
+        with forced_lane(monkeypatch) as lane:
+            gx, gw, in_buffer = _linear_grads(T.matmul, *case, buffer=buffer)
+            assert lane_idle(lane)
+        assert [n for n, _ in lane.jobs].count("_weight_grad_job.<locals>.job") == 2
+        for got, want in zip(gx + [gw], rx + [rw]):
+            _assert_same_array(got, want)
+        assert in_buffer == r_buffer == buffer
+
+    @pytest.mark.parametrize("buffer", [False, True])
+    def test_a_weight_also_used_elementwise(self, monkeypatch, buffer):
+        """``x @ w`` and ``w * d`` and ``x2 @ w`` for a 2-D x2, which stays
+        on one lane: the queued gradient is accumulated before the others,
+        in the one-lane order."""
+        gen = np.random.default_rng(7)
+        x0, x2 = gen.standard_normal((3, 5, 8)), gen.standard_normal((4, 8))
+        w0, d = gen.standard_normal((8, 6)), gen.standard_normal((8, 6))
+
+        def grads(matmul):
+            x = Tensor(x0, requires_grad=True)
+            w = Tensor(w0.copy(), requires_grad=True)
+            if buffer:
+                w.grad_buffer = np.full_like(w0, np.nan)
+            y = (T.tsum(matmul(x, w)) + T.tsum(w * Tensor(d))
+                 + T.tsum(matmul(Tensor(x2), w)))
+            y.backward()
+            return [x.grad, w.grad, w.grad is w.grad_buffer]
+        want = grads(matmul_reference)
+        with forced_lane(monkeypatch) as lane:
+            got = grads(T.matmul)
+            assert lane_idle(lane) and lane.jobs
+        for a, b in zip(got, want):
+            assert _same_bits(a, b)
+
+    @pytest.mark.parametrize("where", ["lane", "caller"])
+    def test_backward_raises_once_every_job_is_done(self, monkeypatch, where):
+        """A queued job that raises, or a closure that raises on the caller
+        while jobs are queued: backward raises only once every job it
+        queued is done, and leaves nothing running."""
+        done = []
+        make = T._weight_grad_job
+
+        def job_for(x, g, w):
+            job = make(x, g, w)
+
+            def run():
+                if w.shape[1] == 5 and where == "lane":
+                    raise ValueError("on the lane")
+                time.sleep(0.2)
+                done.append(job())
+                return done[-1]
+            return run
+
+        def raising(g):
+            raise ValueError("on the caller")
+        monkeypatch.setattr(T, "_weight_grad_job", job_for)
+        gen = np.random.default_rng(1)
+        x, y0 = (Tensor(gen.standard_normal((2, 3, 4)), requires_grad=True)
+                 for _ in range(2))
+        w5, w6 = (Tensor(gen.standard_normal((4, e)), requires_grad=True)
+                  for e in (5, 6))
+        with forced_lane(monkeypatch) as lane:
+            y = y0 * 1.0
+            if where == "caller":
+                y._backward = raising
+            loss = T.tsum(T.matmul(x, w5)) + T.tsum(T.matmul(y, w6))
+            with pytest.raises(ValueError, match="on the " + where):
+                loss.backward()
+            assert lane_idle(lane)
+            assert T._queue.jobs is None
+        queued = sum(n.endswith("job_for.<locals>.run") for n, _ in lane.jobs)
+        assert queued >= 1 and len(done) == queued - (where == "lane")
 
     @pytest.mark.parametrize("env, pinned", [
         ({}, False),
