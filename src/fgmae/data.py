@@ -59,9 +59,9 @@ def read_tensor(path, out=None):
     dtype code, a header cut short, dims numpy cannot hold, and a payload
     shorter or longer than the dims say. The payload size (exact, in Python
     integers) is checked against the bytes left in the file before anything
-    is allocated; the payload is then read once into its final buffer. That
-    buffer is ``out`` when given, a C-contiguous native array that must have
-    the file's shape and dtype (else ContainerError); it is returned.
+    is allocated; the payload is then read once into its final buffer, a
+    new array or ``out`` when given, a C-contiguous native array that must
+    have the file's shape and dtype (else ContainerError); it is returned.
     """
     with open(path, "rb") as f:
         head = f.read(10)
@@ -84,26 +84,19 @@ def read_tensor(path, out=None):
         if left != expected:
             raise ContainerError(f"{'truncated' if left < expected else 'trailing'} "
                                  f"payload in {path}: {left} bytes, expected {expected}")
-        if out is not None:
-            if out.shape != dims or out.dtype != dtype:
-                raise ContainerError(f"{path} holds {dtype.name} {list(dims)}, "
-                                     f"expected {out.dtype.name} {list(out.shape)}")
-            payload = memoryview(out).cast("B")
-        else:
-            payload = bytearray(expected)
-        if f.readinto(payload) != expected:
+        if out is None:
+            try:
+                out = np.empty(dims, dtype)
+            except ValueError as exc:
+                raise ContainerError(f"dims {dims} in {path}: {exc}") from None
+        elif out.shape != dims or out.dtype != dtype:
+            raise ContainerError(f"{path} holds {dtype.name} {list(dims)}, "
+                                 f"expected {out.dtype.name} {list(out.shape)}")
+        if f.readinto(out) != expected:
             raise ContainerError(f"truncated payload in {path}")
-    if out is not None:
-        if not np.little_endian:
-            out.byteswap(inplace=True)
-        return out
-    array = np.frombuffer(payload, dtype=dtype.newbyteorder("<"))
-    if not array.dtype.isnative:  # big-endian host
-        array = array.byteswap(inplace=True).view(dtype)
-    try:
-        return array.reshape(dims)
-    except ValueError as exc:
-        raise ContainerError(f"dims {dims} in {path}: {exc}") from None
+    if not np.little_endian:
+        out.byteswap(inplace=True)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,10 @@ def _transfer(model, entries, data_dir, pcfg, train_encoder):
     n_classes = D.SAR_CLASSES if pcfg.task == "singlelabel" else D.MS_CLASSES
     _labels_for(entries, pcfg.task, n_classes)
     train, held = _split_entries(entries, pcfg.eval_every_n)
+    if not train:
+        raise P.ConfigError(f"eval_every_n {pcfg.eval_every_n} holds out all "
+                            f"locations ({len(D.locations(entries))}): none is "
+                            "left to train on")
     frozen = None if train_encoder else params_digest(model.params)
     clf = _train_classifier(model, train, data_dir, pcfg, n_classes,
                             train_encoder)

@@ -45,6 +45,10 @@ class PretrainConfig:
     def __post_init__(self):
         F.at_least(1, self, "epochs", "batch_size")
         F.at_least(0, self, "warmup_epochs", "checkpoint_interval")
+        if not all(0 <= b < 1 for b in self.adam_betas):
+            # a beta of 1 makes Adam's bias correction 0/0 at the first step
+            raise ValueError(f"adam_betas must each lie in [0, 1), got "
+                             f"{list(self.adam_betas)}")
         if self.warmup_epochs > self.epochs:
             raise ValueError("warmup cannot exceed total epochs")
         if self.augment.out_size != self.model.image_size:

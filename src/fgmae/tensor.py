@@ -8,11 +8,13 @@ its inputs and plain arrays, never its own output node, so no reference
 cycle forms and a tape is freed by reference counting as soon as it is
 dropped.
 
-Every node is made by the module-level ``_node``. Inside ``with no_grad():``
-it records nothing: results carry no tape and ``requires_grad`` is False,
-which is how frozen encoders and inference run. ``Tensor.__getitem__`` takes
-basic indices only (ints, slices, ``...``, ``None`` and tuples of these) and
-raises ``TypeError`` for index arrays; ``gather_tokens`` does per-token gathers.
+Every node is made by ``_op`` through the module-level ``_node``; ``_op``
+sets its backward closure only when the node is on the tape. Inside ``with
+no_grad():`` nothing is recorded: results carry no tape and ``requires_grad``
+is False, which is how frozen encoders and inference run.
+``Tensor.__getitem__`` takes basic indices only (ints, slices, ``...``,
+``None`` and tuples of these) and raises ``TypeError`` for index arrays;
+``gather_tokens`` does per-token gathers.
 
 A linear layer's weight gradient, ``Σ_b x[b].T @ g[b]`` for a (B, N, D)
 input and a (D, E) weight, is summed one sample at a time into one (D, E)
@@ -27,11 +29,10 @@ so rounds differently.
 Big products run on two lanes: the caller and one worker thread, the
 lane. A product of a (B, N, D) input and a (D, E) weight of at least
 ``PAIR_MIN`` multiply-adds splits its forward over the samples, the first
-half on the lane and the rest on the caller, and so does the input
-gradient toward a frozen weight. When such a weight trains, its backward
-queues ``_weight_grad`` on the lane and does not wait: backward walks on
-to the next node while the lane sums it. Each calling thread keeps its own
-queue for the pass it runs. A queued gradient is settled, waited for and
+half on the lane and the rest on the caller. When such a weight trains,
+its backward queues ``_weight_grad`` on the lane and does not wait:
+backward walks on to the next node while the lane sums it. Each calling
+thread keeps its own queue for the pass it runs. A queued gradient is settled, waited for and
 accumulated, before anything else touches that tensor's gradient, and
 ``Tensor.backward`` waits for every job it queued before it returns or
 raises, then accumulates what is left in the order the closures queued it.
@@ -186,16 +187,13 @@ class Tensor:
                     or isinstance(k, (int, np.integer)) and not isinstance(k, bool)):
                 raise TypeError(f"Tensor index {k!r} is not a basic index; "
                                 "use gather_tokens for per-token gathers")
-        out = _node(self.data[key], (self,))
-        if out.requires_grad:
-            def _bw(g, a=self, key=key):
-                # a basic index selects each element at most once, so this
-                # adds exactly what np.add.at would
-                ga = np.zeros_like(a.data)
-                ga[key] += g
-                _accum(a, ga)
-            out._backward = _bw
-        return out
+        def _bw(g, a=self, key=key):
+            # a basic index selects each element at most once, so this
+            # adds exactly what np.add.at would
+            ga = np.zeros_like(a.data)
+            ga[key] += g
+            _accum(a, ga)
+        return _op(self.data[key], (self,), _bw)
 
     # convenience methods
     def sum(self, axis=None, keepdims=False):
@@ -232,6 +230,16 @@ def _node(data, prev):
                  and any(p.requires_grad for p in prev))
     if out.requires_grad:
         out._prev = tuple(prev)
+    return out
+
+
+def _op(data, prev, backward):
+    """``_node(data, prev)`` with ``backward`` as its closure when it is on
+    the tape. ``backward`` takes the node's gradient and captures the inputs
+    and plain arrays it needs, never the node itself."""
+    out = _node(data, prev)
+    if out.requires_grad:
+        out._backward = backward
     return out
 
 
@@ -294,84 +302,65 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     a, b = _wrap(a), _wrap(b)
-    out = _node(a.data + b.data, (a, b))
-    if out.requires_grad:
-        def _bw(g, a=a, b=b):
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g, a.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(g, b.shape))
-        out._backward = _bw
-    return out
+    def _bw(g, a=a, b=b):
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.shape))
+    return _op(a.data + b.data, (a, b), _bw)
 
 
 def mul(a, b):
     a, b = _wrap(a), _wrap(b)
-    out = _node(a.data * b.data, (a, b))
-    if out.requires_grad:
-        def _bw(g, a=a, b=b):
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g * b.data, a.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(g * a.data, b.shape))
-        out._backward = _bw
-    return out
+    def _bw(g, a=a, b=b):
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.shape))
+    return _op(a.data * b.data, (a, b), _bw)
 
 
 def div(a, b):
     a, b = _wrap(a), _wrap(b)
-    out = _node(a.data / b.data, (a, b))
-    if out.requires_grad:
-        def _bw(g, a=a, b=b, y=out.data):
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g / b.data, a.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(-g * y / b.data, b.shape))
-        out._backward = _bw
-    return out
+    y = a.data / b.data
+    def _bw(g, a=a, b=b, y=y):
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g / b.data, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g * y / b.data, b.shape))
+    return _op(y, (a, b), _bw)
 
 
 def power(a, exponent):
     a = _wrap(a)
-    out = _node(a.data ** exponent, (a,))
-    if out.requires_grad:
-        def _bw(g, a=a, e=exponent):
-            _accum(a, g * e * a.data ** (e - 1))
-        out._backward = _bw
-    return out
+    def _bw(g, a=a, e=exponent):
+        _accum(a, g * e * a.data ** (e - 1))
+    return _op(a.data ** exponent, (a,), _bw)
 
 
 def exp(a):
     a = _wrap(a)
-    out = _node(np.exp(a.data), (a,))
-    if out.requires_grad:
-        def _bw(g, a=a, y=out.data):
-            _accum(a, g * y)
-        out._backward = _bw
-    return out
+    y = np.exp(a.data)
+    def _bw(g, a=a, y=y):
+        _accum(a, g * y)
+    return _op(y, (a,), _bw)
 
 
 def log(a):
     a = _wrap(a)
-    out = _node(np.log(a.data), (a,))
-    if out.requires_grad:
-        def _bw(g, a=a):
-            _accum(a, g / a.data)
-        out._backward = _bw
-    return out
+    def _bw(g, a=a):
+        _accum(a, g / a.data)
+    return _op(np.log(a.data), (a,), _bw)
 
 
 def gelu(a):
     """x * Phi(x) with the exact Gaussian CDF."""
     a = _wrap(a)
     phi = ndtr(a.data).astype(a.data.dtype)
-    out = _node(a.data * phi, (a,))
-    if out.requires_grad:
-        def _bw(g, a=a, phi=phi):
-            pdf = (_INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data)).astype(a.data.dtype)
-            _accum(a, g * (phi + a.data * pdf))
-        out._backward = _bw
-    return out
+    def _bw(g, a=a, phi=phi):
+        pdf = (_INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data)).astype(a.data.dtype)
+        _accum(a, g * (phi + a.data * pdf))
+    return _op(a.data * phi, (a,), _bw)
 
 
 # -- shape ops ----------------------------------------------------------------
@@ -380,46 +369,34 @@ def reshape(a, *dims):
     a = _wrap(a)
     if len(dims) == 1 and isinstance(dims[0], (tuple, list)):
         dims = tuple(dims[0])
-    out = _node(a.data.reshape(dims), (a,))
-    if out.requires_grad:
-        def _bw(g, a=a):
-            _accum(a, g.reshape(a.shape))
-        out._backward = _bw
-    return out
+    def _bw(g, a=a):
+        _accum(a, g.reshape(a.shape))
+    return _op(a.data.reshape(dims), (a,), _bw)
 
 
 def transpose(a, axes=None):
     a = _wrap(a)
-    out = _node(np.transpose(a.data, axes), (a,))
-    if out.requires_grad:
+    def _bw(g, a=a, axes=axes):
         inv = None if axes is None else tuple(np.argsort(axes))
-        def _bw(g, a=a, inv=inv):
-            _accum(a, np.transpose(g, inv))
-        out._backward = _bw
-    return out
+        _accum(a, np.transpose(g, inv))
+    return _op(np.transpose(a.data, axes), (a,), _bw)
 
 
 def swapaxes(a, ax1, ax2):
     a = _wrap(a)
-    out = _node(np.swapaxes(a.data, ax1, ax2), (a,))
-    if out.requires_grad:
-        def _bw(g, a=a, ax1=ax1, ax2=ax2):
-            _accum(a, np.swapaxes(g, ax1, ax2))
-        out._backward = _bw
-    return out
+    def _bw(g, a=a, ax1=ax1, ax2=ax2):
+        _accum(a, np.swapaxes(g, ax1, ax2))
+    return _op(np.swapaxes(a.data, ax1, ax2), (a,), _bw)
 
 
 def concatenate(tensors, axis=0):
     tensors = [_wrap(t) for t in tensors]
-    out = _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
-    if out.requires_grad:
-        sizes = [t.shape[axis] for t in tensors]
-        splits = np.cumsum(sizes)[:-1]
-        def _bw(g, tensors=tensors, splits=splits, axis=axis):
-            for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-                _accum(t, piece)
-        out._backward = _bw
-    return out
+    def _bw(g, tensors=tensors, axis=axis):
+        splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
+            _accum(t, piece)
+    return _op(np.concatenate([t.data for t in tensors], axis=axis),
+               tuple(tensors), _bw)
 
 
 def gather_tokens(x, idx):
@@ -427,29 +404,23 @@ def gather_tokens(x, idx):
     x = _wrap(x)
     idx = np.asarray(idx)
     expanded = np.broadcast_to(idx[:, :, None], idx.shape + (x.shape[-1],))
-    out = _node(np.take_along_axis(x.data, expanded, axis=1), (x,))
-    if out.requires_grad:
-        def _bw(g, x=x, idx=idx):
-            gx = np.zeros_like(x.data)
-            b_idx = np.arange(x.shape[0])[:, None]
-            np.add.at(gx, (b_idx, idx), g)
-            _accum(x, gx)
-        out._backward = _bw
-    return out
+    def _bw(g, x=x, idx=idx):
+        gx = np.zeros_like(x.data)
+        b_idx = np.arange(x.shape[0])[:, None]
+        np.add.at(gx, (b_idx, idx), g)
+        _accum(x, gx)
+    return _op(np.take_along_axis(x.data, expanded, axis=1), (x,), _bw)
 
 
 # -- reductions ---------------------------------------------------------------
 
 def tsum(a, axis=None, keepdims=False):
     a = _wrap(a)
-    out = _node(a.data.sum(axis=axis, keepdims=keepdims), (a,))
-    if out.requires_grad:
-        def _bw(g, a=a, axis=axis, keepdims=keepdims):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(g, a.shape))
-        out._backward = _bw
-    return out
+    def _bw(g, a=a, axis=axis, keepdims=keepdims):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accum(a, np.broadcast_to(g, a.shape))
+    return _op(a.data.sum(axis=axis, keepdims=keepdims), (a,), _bw)
 
 
 def tmean(a, axis=None, keepdims=False):
@@ -475,26 +446,22 @@ def matmul(a, b):
     paired = (_lane is not None and a.data.ndim == 3 and b.data.ndim == 2
               and a.size * b.shape[1] >= PAIR_MIN)
     y = _halves(a.data, b.data) if paired else np.matmul(a.data, b.data)
-    out = _node(y, (a, b))
-    if out.requires_grad:
-        def _bw(g, a=a, b=b, paired=paired):
-            queue = paired and b.requires_grad
-            if queue:  # the weight's gradient, summed on the lane meanwhile
-                job = _submit(_weight_grad_job(a.data, g, b))
-                _queue.jobs[id(b)] = (b, job)
-            if a.requires_grad:
-                bt = np.swapaxes(b.data, -1, -2)
-                ga = _halves(g, bt) if paired and not queue else np.matmul(g, bt)
-                _accum(a, _unbroadcast(ga, a.shape))
-            if queue or not b.requires_grad:
-                return
-            if b.data.ndim == 2:
-                _accum(b, _weight_grad(a.data, g, b))
-            else:
-                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-                _accum(b, _unbroadcast(gb, b.shape))
-        out._backward = _bw
-    return out
+    def _bw(g, a=a, b=b, paired=paired):
+        queue = paired and b.requires_grad
+        if queue:  # the weight's gradient, summed on the lane meanwhile
+            job = _submit(_weight_grad_job(a.data, g, b))
+            _queue.jobs[id(b)] = (b, job)
+        if a.requires_grad:
+            bt = np.swapaxes(b.data, -1, -2)
+            _accum(a, _unbroadcast(np.matmul(g, bt), a.shape))
+        if queue or not b.requires_grad:
+            return
+        if b.data.ndim == 2:
+            _accum(b, _weight_grad(a.data, g, b))
+        else:
+            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+            _accum(b, _unbroadcast(gb, b.shape))
+    return _op(y, (a, b), _bw)
 
 
 def _weight_grad(x, g, w):
@@ -672,39 +639,34 @@ def layer_norm(x, gamma, beta, eps=1e-6):
     eps = np.asarray(eps, dtype=DEFAULT_DTYPE)
     stat_shape = x.shape[:-1] + (1,)
 
-    c = _node(x.data + x.data.sum(axis=-1, keepdims=True) * inv_d * neg, (x,))
-    if c.requires_grad:
-        def _bw_center(g, x=x):
-            # the centered term first, then the mean's broadcast term
-            _accum(x, _unbroadcast(g, x.shape))
-            _accum(x, np.broadcast_to(_unbroadcast(g, stat_shape) * neg * inv_d,
-                                      x.shape))
-        c._backward = _bw_center
+    def _bw_center(g, x=x):
+        # the centered term first, then the mean's broadcast term
+        _accum(x, _unbroadcast(g, x.shape))
+        _accum(x, np.broadcast_to(_unbroadcast(g, stat_shape) * neg * inv_d,
+                                  x.shape))
+    c = _op(x.data + x.data.sum(axis=-1, keepdims=True) * inv_d * neg, (x,),
+            _bw_center)
 
-    v = _node((c.data * c.data).sum(axis=-1, keepdims=True) * inv_d + eps, (c,))
-    if v.requires_grad:
-        def _bw_var(g, c=c):
-            # c·c has c on both sides: two equal accumulations
-            gsq = (g * inv_d) * c.data
-            _accum(c, gsq)
-            _accum(c, gsq)
-        v._backward = _bw_var
+    def _bw_var(g, c=c):
+        # c·c has c on both sides: two equal accumulations
+        gsq = (g * inv_d) * c.data
+        _accum(c, gsq)
+        _accum(c, gsq)
+    v = _op((c.data * c.data).sum(axis=-1, keepdims=True) * inv_d + eps, (c,),
+            _bw_var)
 
     inv = power(v, -0.5)
     n = c.data * inv.data
     k = n * gamma.data
-    out = _node(k + beta.data, (c, inv, gamma, beta))
-    if out.requires_grad:
-        def _bw_affine(g, c=c, inv=inv, gamma=gamma, beta=beta, n=n,
-                       k_shape=k.shape):
-            gk = _unbroadcast(g, k_shape)
-            _accum(beta, _unbroadcast(g, beta.shape))
-            gn = _unbroadcast(gk * gamma.data, n.shape)
-            _accum(gamma, _unbroadcast(gk * n, gamma.shape))
-            _accum(c, _unbroadcast(gn * inv.data, c.shape))
-            _accum(inv, _unbroadcast(gn * c.data, inv.shape))
-        out._backward = _bw_affine
-    return out
+    def _bw_affine(g, c=c, inv=inv, gamma=gamma, beta=beta, n=n,
+                   k_shape=k.shape):
+        gk = _unbroadcast(g, k_shape)
+        _accum(beta, _unbroadcast(g, beta.shape))
+        gn = _unbroadcast(gk * gamma.data, n.shape)
+        _accum(gamma, _unbroadcast(gk * n, gamma.shape))
+        _accum(c, _unbroadcast(gn * inv.data, c.shape))
+        _accum(inv, _unbroadcast(gn * c.data, inv.shape))
+    return _op(k + beta.data, (c, inv, gamma, beta), _bw_affine)
 
 
 def log_softmax(x, axis=-1):
@@ -716,22 +678,17 @@ def log_softmax(x, axis=-1):
 def softplus(x):
     """log(1 + exp(x)) via logaddexp; gradient is sigmoid(x)."""
     x = _wrap(x)
-    out = _node(np.logaddexp(0.0, x.data), (x,))
-    if out.requires_grad:
-        def _bw(g, x=x):
-            _accum(x, g / (1.0 + np.exp(-x.data)))
-        out._backward = _bw
-    return out
+    def _bw(g, x=x):
+        _accum(x, g / (1.0 + np.exp(-x.data)))
+    return _op(np.logaddexp(0.0, x.data), (x,), _bw)
 
 
 def sigmoid(x):
     x = _wrap(x)
-    out = _node(1.0 / (1.0 + np.exp(-x.data)), (x,))
-    if out.requires_grad:
-        def _bw(g, x=x, y=out.data):
-            _accum(x, g * y * (1.0 - y))
-        out._backward = _bw
-    return out
+    y = 1.0 / (1.0 + np.exp(-x.data))
+    def _bw(g, x=x, y=y):
+        _accum(x, g * y * (1.0 - y))
+    return _op(y, (x,), _bw)
 
 
 # -- verification -------------------------------------------------------------

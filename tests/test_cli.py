@@ -327,6 +327,15 @@ class TestBadValues:
                                  "config", "eval_every_n"),
         "probe-epochs-0": ("probe", {"epochs": 0}, None, "config",
                            "epochs must be >= 1"),
+        # every location held out: 0 steps, then metrics as if trained
+        **{f"{cmd}-eval-every-n-1": (cmd, {"eval_every_n": 1}, None, "config",
+                                     "eval_every_n 1 holds out all")
+           for cmd in ("probe", "finetune")},
+        # a beta of 1 made Adam's bias correction 0/0: error[loss] at step 1
+        "pretrain-adam-beta1-1": ("pretrain", {"adam_betas": [1.0, 0.95]}, None,
+                                  "config", "adam_betas must each lie in [0, 1)"),
+        "pretrain-adam-beta2-negative": ("pretrain", {"adam_betas": [0.9, -0.1]},
+                                         None, "config", "adam_betas"),
         # out-of-range sizes, counts and depths: each ended in a traceback
         "pretrain-patch-size-0": ("pretrain", {"model": {**_MODEL,
                                                          "patch_size": 0}},

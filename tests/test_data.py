@@ -80,6 +80,7 @@ class TestContainerFuzz:
 
     @_FUZZ
     @given(arr=_ARRAYS)
+    @example(arr=np.zeros((3, 0), np.float32))
     def test_roundtrip_bitwise(self, tmp_path, arr):
         p = str(tmp_path / "r.fgmr")
         D.write_tensor(p, arr)

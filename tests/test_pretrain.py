@@ -107,7 +107,7 @@ def _pretrain_configs(draw):
         model=model, feature=feature, augment=augment, epochs=epochs,
         batch_size=draw(st.integers(1, 64)), base_lr=draw(_FLOATS),
         min_lr=draw(_FLOATS), warmup_epochs=draw(st.integers(0, epochs)),
-        weight_decay=draw(_FLOATS), adam_betas=(draw(_FLOATS), draw(_FLOATS)),
+        weight_decay=draw(_FLOATS), adam_betas=(draw(_UNIT), draw(_UNIT)),
         head_weights=draw(st.dictionaries(st.sampled_from(list(heads)), _FLOATS)),
         grad_clip=draw(_FLOATS), seed=draw(st.integers(0, 2**32)),
         checkpoint_interval=draw(st.integers(0, 100)))
@@ -229,10 +229,10 @@ class TestConfig:
 
     def test_ints_pass_for_floats_and_lists_for_tuples(self):
         d = _json_dict(_cfg())
-        d.update(base_lr=1, adam_betas=[0, 1], head_weights={"hog": 2})
+        d.update(base_lr=1, adam_betas=[0, 0], head_weights={"hog": 2})
         cfg = P.from_dict(P.PretrainConfig, d)
         assert (cfg.base_lr, cfg.adam_betas, cfg.head_weights) == (
-            1, (0, 1), {"hog": 2})
+            1, (0, 0), {"hog": 2})
         with pytest.raises(ValueError, match="config.adam_betas"):
             P.from_dict(P.PretrainConfig, {**d, "adam_betas": [0.9, 0.95, 0.99]})
 

@@ -44,6 +44,40 @@ def node_counter(monkeypatch):
     return made
 
 
+# one case per differentiable op that perfbench's tracer names, and
+# Tensor.__getitem__: the op applied to x, y (4, 5) and w (5, 3)
+OP_CASES = {
+    "add": lambda x, y, w: x + y,
+    "mul": lambda x, y, w: x * y,
+    "div": lambda x, y, w: x / y,
+    "power": lambda x, y, w: x ** 3,
+    "exp": lambda x, y, w: T.exp(x),
+    "log": lambda x, y, w: T.log(y),
+    "gelu": lambda x, y, w: T.gelu(x),
+    "reshape": lambda x, y, w: x.reshape(5, 4),
+    "transpose": lambda x, y, w: x.transpose(1, 0),
+    "swapaxes": lambda x, y, w: T.swapaxes(x, 0, 1),
+    "concatenate": lambda x, y, w: T.concatenate([x, y], axis=1),
+    "gather_tokens": lambda x, y, w: T.gather_tokens(x.reshape(2, 2, 5),
+                                                     [[1, 0], [0, 0]]),
+    "tsum": lambda x, y, w: T.tsum(x, axis=0),
+    "tmean": lambda x, y, w: T.tmean(x, axis=1),
+    "matmul": lambda x, y, w: T.matmul(x.reshape(2, 2, 5), w),
+    "softmax": lambda x, y, w: T.softmax(x),
+    "layer_norm": lambda x, y, w: T.layer_norm(x, w[:, 0], w[:, 1]),
+    "log_softmax": lambda x, y, w: T.log_softmax(x),
+    "softplus": lambda x, y, w: T.softplus(x),
+    "sigmoid": lambda x, y, w: T.sigmoid(x),
+    "getitem": lambda x, y, w: x[1:, 2],
+}
+
+
+def _op_inputs():
+    x, w = _rand((4, 5), 40), _rand((5, 3), 42)
+    y = Tensor(np.abs(_rand((4, 5), 41).data) + 0.5, requires_grad=True)  # > 0
+    return x, y, w
+
+
 class TestOps:
     def test_add_broadcast(self):
         x = _rand((3, 4), 0)
@@ -195,6 +229,8 @@ class TestBackward:
     def test_tape_freed_by_reference_counting(self):
         # a backward closure that captured its own output node would make a
         # cycle, leaving the whole tape to the cyclic garbage collector
+        from perfbench.tracer import TENSOR_OPS
+        assert set(OP_CASES) == set(TENSOR_OPS) | {"getitem"}
         gc.collect()
         gc.disable()
         try:
@@ -203,6 +239,11 @@ class TestBackward:
             T.tsum(y).backward()
             del x, y
             assert gc.collect() == 0
+            for name, op in OP_CASES.items():
+                inputs = _op_inputs()
+                T.tsum(op(*inputs)).backward()
+                del inputs
+                assert gc.collect() == 0, name
         finally:
             gc.enable()
 
@@ -265,6 +306,15 @@ class TestNoGrad:
             out = T.softmax(T.layer_norm(x, g, b)[1:] * 2.0)
         assert made[0] == 0 and not out.requires_grad and out._prev == ()
         assert out.data.tobytes() == ref.data.tobytes()
+        for name, op in OP_CASES.items():
+            inputs = _op_inputs()
+            ref = op(*inputs)
+            with T.no_grad():
+                out = op(*inputs)
+            assert ref._backward is not None and ref._prev, name
+            assert out._backward is None and out._prev == (), name
+            assert not out.requires_grad, name
+            assert out.data.tobytes() == ref.data.tobytes(), name
 
     def test_mode_restored_after_exception_and_when_nested(self):
         x = Tensor(np.ones(3), requires_grad=True)
