@@ -18,10 +18,8 @@ os.makedirs(OUT, exist_ok=True)
 
 # -- scenes ------------------------------------------------------------------
 
-ms, ms_mask, ms_labels = D.synth_multispectral_scene(
-    D.SyntheticSceneParams(seed=0, size=64))
-sar, sar_mask, sar_label = D.synth_sar_scene(
-    D.SyntheticSceneParams(seed=0, size=64, looks=1))
+ms, ms_mask, ms_labels = D.synth_multispectral_scene(0, 64)
+sar, sar_mask, sar_label = D.synth_sar_scene(0, 64, looks=1)
 print(f"MS scene {ms.shape}, multilabel vector: {ms_labels}")
 print(f"SAR scene {sar.shape}, class id: {int(sar_label.argmax())}")
 

@@ -208,6 +208,8 @@ def cmd_ablate(args):
 
 
 def cmd_metrics(args):
+    if args.n_classes < 1:
+        _fail("config", "--n-classes must be >= 1")
     pred = D.read_tensor(args.pred)
     label = D.read_tensor(args.label)
     try:

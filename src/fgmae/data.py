@@ -13,10 +13,11 @@ import csv
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import Rng
 
 # ---------------------------------------------------------------------------
 # FGMR tensor container
@@ -199,6 +200,7 @@ MS_CLASSES = 8
 SAR_CLASSES = 6
 # smallest scene side per modality (MS blob radii are drawn below size // 3)
 MIN_SCENE_SIZE = {"MS": 3, "SAR": 1}
+N_STRUCTURES = 6  # class blobs stamped on each MS scene
 
 # 8 land-cover stand-ins; per class, levels for the 13 multispectral bands.
 # Band roles follow Sentinel-2 L1C ordering: index 2 green, 3 red, 7 NIR,
@@ -217,36 +219,22 @@ _MS_SIGNATURES = np.array([
 ])
 
 
-@dataclass(frozen=True)
-class SyntheticSceneParams:
-    seed: int = 0
-    size: int = 264
-    n_structures: int = 6
-    looks: int = 1               # SAR speckle looks
-
-    def __post_init__(self):
-        if self.looks < 1:
-            raise ValueError("speckle looks must be >= 1")
-
-
 def _smooth_field(generator, size, scale=8):
     """Low-frequency field in [0, 1] via bilinear upsampling of coarse noise."""
     coarse = generator.random((scale, scale))
     return _bilinear_resize(coarse[None], size, size)[0]
 
 
-def synth_multispectral_scene(params, class_id=None):
-    """One (13, S, S) scene plus its class mask and multilabel vector.
+def synth_multispectral_scene(seed, size, class_id=None):
+    """One (13, size, size) scene plus its class mask and multilabel vector.
 
     Regions carry class-dependent band signatures so NDI targets are
     semantically meaningful; values stay in [0, 1].
     """
-    generator = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=params.seed, spawn_key=(13,))))
-    size = params.size
+    generator = Rng(seed).at(13)
     mask = np.zeros((size, size), dtype=np.int64)
     mask[:] = 0 if class_id is None else class_id
-    for _ in range(params.n_structures):
+    for _ in range(N_STRUCTURES):
         cls = int(generator.integers(MS_CLASSES))
         _stamp_blob(mask, cls, generator)
     image = _MS_SIGNATURES[mask].transpose(2, 0, 1).copy()
@@ -273,13 +261,14 @@ _SAR_CLASSES = [
 ]
 
 
-def synth_sar_scene(params, class_id=None):
-    """One (2, S, S) dual-pol scene: clean class-dependent backscatter times
-    unit-mean gamma speckle (shape = looks, scale = 1/looks), independent per
-    pixel and polarization. Returns (image, mask, one-hot label)."""
-    generator = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=params.seed, spawn_key=(2,))))
-    size = params.size
+def synth_sar_scene(seed, size, looks=1, class_id=None):
+    """One (2, size, size) dual-pol scene: clean class-dependent backscatter
+    times unit-mean gamma speckle (shape = looks, scale = 1/looks),
+    independent per pixel and polarization. Returns (image, mask, one-hot
+    label)."""
+    if looks < 1:
+        raise ValueError("speckle looks must be >= 1")
+    generator = Rng(seed).at(2)
     if class_id is None:
         class_id = int(generator.integers(SAR_CLASSES))
     vv, vh, texture, period = _SAR_CLASSES[class_id]
@@ -303,7 +292,7 @@ def synth_sar_scene(params, class_id=None):
     pattern = pattern * (0.8 + 0.4 * _smooth_field(generator, size))
     clean = np.stack([vv * pattern, vh * pattern])
     clean = np.clip(clean, 0.01, None)
-    speckle = gamma_speckle(clean.shape, params.looks, generator)
+    speckle = gamma_speckle(clean.shape, looks, generator)
     image = clean * speckle
     mask = np.full((size, size), class_id, dtype=np.int64)
     labels = np.zeros(SAR_CLASSES, dtype=np.float32)
@@ -468,26 +457,27 @@ def synthesize_dataset(out_dir, modality, n_locations, seed, looks=1, size=264):
         raise ValueError(f"unknown modality {modality!r}, expected 'SAR' or 'MS'")
     if size < MIN_SCENE_SIZE[modality]:
         raise ValueError(f"{modality} needs size >= {MIN_SCENE_SIZE[modality]}")
+    if looks < 1:
+        raise ValueError("speckle looks must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     # balanced class assignment, decorrelated from location index
-    assign_gen = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=seed, spawn_key=(99,))))
     classes = np.tile(np.arange(SAR_CLASSES),
                       (n_locations + SAR_CLASSES - 1) // SAR_CLASSES)[:n_locations]
-    classes = assign_gen.permutation(classes)
+    classes = Rng(seed).at(99).permutation(classes)
     for loc in range(n_locations):
         loc_id = f"loc{loc:04d}"
         class_id = int(classes[loc]) if modality == "SAR" else None
         for season in range(4):
             scene_seed = int(np.random.SeedSequence(
                 entropy=seed, spawn_key=(loc, season)).generate_state(1)[0])
-            params = SyntheticSceneParams(seed=scene_seed, size=size, looks=looks)
             if modality == "SAR":
-                image, mask, labels = synth_sar_scene(params, class_id=class_id)
+                image, mask, labels = synth_sar_scene(scene_seed, size, looks, class_id)
                 label_str = str(int(np.argmax(labels)))
             else:
-                image, mask, labels = synth_multispectral_scene(params)
+                image, mask, labels = synth_multispectral_scene(scene_seed, size)
                 label_str = ";".join(str(i) for i in np.nonzero(labels)[0])
             fname = f"{loc_id}_s{season}.fgmr"
             write_tensor(os.path.join(out_dir, fname), image)

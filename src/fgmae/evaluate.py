@@ -20,6 +20,7 @@ from . import model as M
 from . import optim as O
 from . import pretrain as P
 from . import tensor as T
+from .features import at_least
 from .rng import Rng
 from .tensor import Tensor
 
@@ -103,7 +104,8 @@ def metric_oa_aa(pred, labels):
 def metric_miou(pred_mask, label_mask, n_classes, ignore_index=None):
     """(OA, AA, mIoU) over segmentation masks. IoU = TP/(TP+FP+FN) per
     class; the mean runs over classes with nonzero union; ignore_index
-    pixels are excluded everywhere."""
+    pixels are excluded everywhere. Any other label outside [0, n_classes)
+    is a ValueError."""
     pred = np.asarray(pred_mask).ravel()
     label = np.asarray(label_mask).ravel()
     if pred.size != label.size:
@@ -113,6 +115,9 @@ def metric_miou(pred_mask, label_mask, n_classes, ignore_index=None):
         pred, label = pred[keep], label[keep]
     if pred.size == 0:
         raise ValueError("no valid pixels")
+    bad = label[(label < 0) | (label >= n_classes)]
+    if bad.size:
+        raise ValueError(f"label {bad[0]} is outside [0, {n_classes})")
     oa = float(np.mean(pred == label))
     recalls = []
     ious = []
@@ -152,16 +157,10 @@ class ProbeConfig:
     def __post_init__(self):
         if self.task not in ("singlelabel", "multilabel"):
             raise ValueError(f"unknown task {self.task!r}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
-        if self.eval_every_n < 1:
-            raise ValueError("eval_every_n must be >= 1")
+        at_least(1, self, "epochs", "batch_size", "eval_every_n")
         if not 0.0 < self.scale_min <= 1.0:
             raise ValueError("need 0 < scale_min <= 1")
-        if self.mixup_alpha < 0:
-            raise ValueError("mixup_alpha must be >= 0")
+        at_least(0, self, "mixup_alpha")
 
 
 def _split_entries(entries, every_n):
@@ -327,6 +326,12 @@ def feature_ablation_study(base_cfg, specs, seeds, manifest_path, work_dir,
     (spec, seed, metric, value) plus per-spec mean summary rows."""
     if len(specs) < 2 and not include_random_init:
         raise P.ConfigError("an ablation needs at least two feature specs")
+    if not seeds:
+        raise P.ConfigError("an ablation needs at least one seed")
+    for what, items in (("feature spec", [s.variant for s in specs]),
+                        ("seed", list(seeds))):
+        if len(set(items)) < len(items):
+            raise P.ConfigError(f"an ablation runs each {what} once, got {items}")
     entries = D.read_manifest(manifest_path)
     data_dir = os.path.dirname(os.path.abspath(manifest_path))
     metric_name = "OA" if probe_cfg.task == "singlelabel" else "mAP"

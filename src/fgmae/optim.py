@@ -241,16 +241,12 @@ def adamw_step(opt, lr=None):
         if p.grad is not None and p.grad is not views[name][1]:
             np.copyto(views[name][1], p.grad, casting="unsafe")
     blocks = _blocks(opt)
-    size = sum(b - a for _, a, b in blocks)
-    both = two_lanes() if size >= SPLIT_MIN else None
-    if both is None:
-        halves = [blocks]
-        finite = _finite(blocks)
+    both = two_lanes() if sum(b - a for _, a, b in blocks) >= SPLIT_MIN else None
+    if both is None:  # one lane: the caller runs every block
+        both, halves = (lambda f, g: (f(), g())), [blocks, []]
     else:
         halves = _cut(blocks)
-        finite = all(both(lambda: _finite(halves[0]),
-                          lambda: _finite(halves[1])))
-    if not finite:
+    if not all(both(lambda: _finite(halves[0]), lambda: _finite(halves[1]))):
         for name, p in params.items():
             if p.grad is not None and not _all_finite(views[name][1]):
                 raise FloatingPointError(
@@ -263,11 +259,8 @@ def adamw_step(opt, lr=None):
     # again (about 4,800 minor faults per 13-band demo step and 600 per
     # checkpoint load, 0 with the blocks kept).
     opt.scratch = [_scratch(half) for half in halves]
-    if both is None:
-        _update(opt, blocks, opt.scratch[0], lr)
-    else:
-        both(lambda: _update(opt, halves[0], opt.scratch[0], lr),
-             lambda: _update(opt, halves[1], opt.scratch[1], lr))
+    both(lambda: _update(opt, halves[0], opt.scratch[0], lr),
+         lambda: _update(opt, halves[1], opt.scratch[1], lr))
     for name, p in params.items():
         if p.grad is not None and name not in opt.m:
             opt.m[name], opt.v[name] = views[name][2:]

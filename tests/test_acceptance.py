@@ -352,9 +352,7 @@ def test_criterion_6_overfit_sanity():
     """Tiny model (encoder width 64, depth 2), 8 fixed synthetic SAR scenes,
     HOG targets: loss drops below 10% of its initial value in 500 steps."""
     t0 = time.time()
-    imgs = np.stack([D.synth_sar_scene(
-        D.SyntheticSceneParams(seed=i, size=32, looks=4))[0]
-        for i in range(8)])
+    imgs = np.stack([D.synth_sar_scene(i, 32, looks=4)[0] for i in range(8)])
     spec = F.FeatureSpec("hog", hog=F.HogParams(cell_size=4))
     cfg = M.ModelConfig(image_size=32, patch_size=8, in_channels=2,
                         enc_width=64, enc_depth=2, enc_heads=4,

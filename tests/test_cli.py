@@ -322,7 +322,7 @@ class TestBadValues:
         "pretrain-manifest-a-list": ("pretrain", {"manifest": ["a.csv"]}, None,
                                      "config", "manifest path"),
         "probe-batch-size-0": ("probe", {"batch_size": 0}, None,
-                               "config", "batch size"),
+                               "config", "batch_size must be >= 1"),
         "probe-eval-every-n-0": ("probe", {"eval_every_n": 0}, None,
                                  "config", "eval_every_n"),
         "probe-epochs-0": ("probe", {"epochs": 0}, None, "config",
@@ -385,6 +385,13 @@ class TestBadValues:
                                    "config", "seeds"),
         "ablate-seeds-not-a-list": ("ablate", {"seeds": 0}, None,
                                     "config", "seeds"),
+        # no seeds trained nothing; a repeat trained one directory twice
+        "ablate-no-seeds": ("ablate", {"seeds": []}, None, "config",
+                            "at least one seed"),
+        "ablate-repeated-seed": ("ablate", {"seeds": [0, 0]}, None, "config",
+                                 "each seed once"),
+        "ablate-repeated-spec": ("ablate", {"specs": ["hog", "hog"]}, None,
+                                 "config", "each feature spec once"),
         "ablate-random-init-not-a-bool": ("ablate", {"include_random_init": "yes"},
                                           None, "config", "include_random_init"),
         "pretrain-no-season": ("pretrain", {}, "no-season", "io", "'season'"),
@@ -511,6 +518,19 @@ class TestBadValues:
             METRICS + ["miou", "--ignore-index", "1"],
             {"pred": np.ones(4), "label": np.ones(4)}, "geometry",
             "no valid pixels"),
+        # these printed AA and mIoU without the classes they left out
+        "metrics-miou-n-classes-0": (
+            METRICS + ["miou", "--n-classes", "0"],
+            {"pred": np.array([0, 1, 1]), "label": np.array([0, 1, 0])},
+            "config", "--n-classes must be >= 1"),
+        "metrics-miou-n-classes--2": (
+            METRICS + ["miou", "--n-classes", "-2"],
+            {"pred": np.array([0, 1, 1]), "label": np.array([0, 1, 0])},
+            "config", "--n-classes must be >= 1"),
+        "metrics-miou-label-out-of-range": (
+            METRICS + ["miou", "--n-classes", "1"],
+            {"pred": np.array([0, 1, 1]), "label": np.array([0, 1, 0])},
+            "geometry", "label 1 is outside [0, 1)"),
         "metrics-singlelabel-empty": (
             METRICS + ["singlelabel"], {"pred": np.zeros(0), "label": np.zeros(0)},
             "geometry", "empty"),

@@ -208,44 +208,49 @@ class TestSpeckle:
 
 
 class TestScenes:
-    @pytest.mark.parametrize("modality, size", [("SAR", 0), ("MS", 2)])
-    def test_too_small_scene_rejected(self, tmp_path, modality, size):
-        # below the minimum, MS died in its blob draw and SAR dividing by 0
-        with pytest.raises(ValueError, match=f"{modality} needs size >= "
-                           f"{D.MIN_SCENE_SIZE[modality]}"):
-            D.synthesize_dataset(str(tmp_path / "d"), modality, 1, 0, size=size)
+    @pytest.mark.parametrize("modality, size, looks, seed, match", [
+        pytest.param("SAR", 0, 1, 0, "SAR needs size >= 1", id="SAR-0"),
+        pytest.param("MS", 2, 1, 0, "MS needs size >= 3", id="MS-2"),
+        pytest.param("SAR", 8, 0, 0, "looks must be >= 1", id="SAR-looks-0"),
+        pytest.param("MS", 8, 0, 0, "looks must be >= 1", id="MS-looks-0"),
+        pytest.param("SAR", 8, 1, -1, "seed must be >= 0", id="SAR-seed--1"),
+        pytest.param("MS", 8, 1, -1, "seed must be >= 0", id="MS-seed--1"),
+    ])
+    def test_too_small_scene_rejected(self, tmp_path, modality, size, looks,
+                                      seed, match):
+        # below the minimum, MS died in its blob draw and SAR dividing by 0;
+        # every bad value is refused before the directory is made
+        with pytest.raises(ValueError, match=match):
+            D.synthesize_dataset(str(tmp_path / "d"), modality, 1, seed,
+                                 looks=looks, size=size)
         assert not (tmp_path / "d").exists()
 
     def test_multispectral_shapes(self):
-        img, mask, labels = D.synth_multispectral_scene(
-            D.SyntheticSceneParams(seed=0, size=64))
+        img, mask, labels = D.synth_multispectral_scene(0, 64)
         assert img.shape == (13, 64, 64)
         assert mask.shape == (64, 64)
         assert labels.shape == (D.MS_CLASSES,)
         assert img.min() >= 0.0 and img.max() <= 1.0
 
     def test_multispectral_labels_match_mask(self):
-        img, mask, labels = D.synth_multispectral_scene(
-            D.SyntheticSceneParams(seed=3, size=64))
+        img, mask, labels = D.synth_multispectral_scene(3, 64)
         present = set(np.unique(mask).astype(int))
         assert {i for i, v in enumerate(labels) if v} == present
 
     def test_sar_shapes_and_determinism(self):
-        p = D.SyntheticSceneParams(seed=5, size=64, looks=1)
-        a = D.synth_sar_scene(p)[0]
-        b = D.synth_sar_scene(p)[0]
+        a = D.synth_sar_scene(5, 64, looks=1)[0]
+        b = D.synth_sar_scene(5, 64, looks=1)[0]
         assert a.shape == (2, 64, 64)
         np.testing.assert_array_equal(a, b)
 
     def test_sar_class_id_respected(self):
-        p = D.SyntheticSceneParams(seed=6, size=64)
         for cid in range(D.SAR_CLASSES):
-            _, _, labels = D.synth_sar_scene(p, class_id=cid)
+            _, _, labels = D.synth_sar_scene(6, 64, class_id=cid)
             assert labels.argmax() == cid
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
-            D.SyntheticSceneParams(seed=0, size=64, looks=0)
+        with pytest.raises(ValueError, match="speckle looks must be >= 1"):
+            D.synth_sar_scene(0, 64, looks=0)
 
     def test_synthesize_dataset_layout(self, tmp_path):
         out = str(tmp_path / "ds")

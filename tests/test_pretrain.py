@@ -344,6 +344,24 @@ class TestCheckpoint:
         assert params_digest(resumed.model.params) == \
             params_digest(full.model.params)
 
+    def test_interval_checkpoints_resume_to_the_same_bytes(self, tmp_path):
+        manifest = _dataset(tmp_path)
+        cfg = _cfg(epochs=5, batch_size=4, checkpoint_interval=2)
+        full = tmp_path / "full"
+        P.pretrain_run(cfg, manifest, str(full))
+        assert sorted(os.listdir(full)) == ["checkpoint", "ckpt_000002",
+                                            "ckpt_000004", "loss_log.csv"]
+        resumed = tmp_path / "resumed"
+        P.Trainer.load(str(full / "ckpt_000002"), D.read_manifest(manifest),
+                       os.path.dirname(manifest)).run(out_dir=str(resumed))
+        names = sorted(os.listdir(full / "checkpoint"))
+        assert names == sorted(os.listdir(resumed / "checkpoint"))
+        for n in names:
+            assert (full / "checkpoint" / n).read_bytes() == \
+                (resumed / "checkpoint" / n).read_bytes(), n
+        assert (full / "loss_log.csv").read_bytes() == \
+            (resumed / "loss_log.csv").read_bytes()
+
     def test_missing_parameter_file_fatal(self, tmp_path):
         manifest = _dataset(tmp_path)
         P.pretrain_run(_cfg(), manifest, str(tmp_path / "run"))
